@@ -25,9 +25,15 @@ let () =
       (Global_schema.schema (Federation.global_schema fed))
       (Parser.parse Paper_example.q1)
   in
-  let answer, m = Strategy.run Strategy.Bl fed analysis in
-  write "test/golden/bl_q1_report.json"
-    (Json.to_string ~indent:2 (Run_report.run_to_json answer m) ^ "\n");
-  let sim_only = { m with Strategy.host_spans = [] } in
-  write "test/golden/bl_q1_trace.json"
-    (Json.to_string ~indent:2 (Run_report.chrome_trace [ sim_only ]) ^ "\n")
+  List.iter
+    (fun s ->
+      let answer, m = Strategy.run s fed analysis in
+      let stem =
+        "test/golden/" ^ String.lowercase_ascii (Strategy.to_string s) ^ "_q1"
+      in
+      write (stem ^ "_report.json")
+        (Json.to_string ~indent:2 (Run_report.run_to_json answer m) ^ "\n");
+      let sim_only = { m with Strategy.host_spans = [] } in
+      write (stem ^ "_trace.json")
+        (Json.to_string ~indent:2 (Run_report.chrome_trace [ sim_only ]) ^ "\n"))
+    Strategy.all

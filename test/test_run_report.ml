@@ -13,7 +13,7 @@ open Msdq_exec
 open Msdq_exp
 module Json = Msdq_obs.Json
 
-let bl_run () =
+let q1_run s =
   let ex = Paper_example.build () in
   let fed = ex.Paper_example.federation in
   let analysis =
@@ -21,7 +21,9 @@ let bl_run () =
       (Global_schema.schema (Federation.global_schema fed))
       (Parser.parse Paper_example.q1)
   in
-  Strategy.run Strategy.Bl fed analysis
+  Strategy.run s fed analysis
+
+let bl_run () = q1_run Strategy.Bl
 
 let read_file path =
   let ic = open_in_bin path in
@@ -43,6 +45,26 @@ let test_trace_golden () =
   in
   let want = read_file "golden/bl_q1_trace.json" in
   Alcotest.(check string) "trace bytes" want got
+
+(* Q1's report and simulated-clock trace under every strategy, pinned
+   byte for byte (BL's pair doubles as the two tests above). *)
+let test_q1_goldens_all_strategies () =
+  List.iter
+    (fun s ->
+      let answer, m = q1_run s in
+      let stem =
+        "golden/" ^ String.lowercase_ascii (Strategy.to_string s) ^ "_q1"
+      in
+      Alcotest.(check string)
+        (Strategy.to_string s ^ " report bytes")
+        (read_file (stem ^ "_report.json"))
+        (Json.to_string ~indent:2 (Run_report.run_to_json answer m) ^ "\n");
+      let sim_only = { m with Strategy.host_spans = [] } in
+      Alcotest.(check string)
+        (Strategy.to_string s ^ " trace bytes")
+        (read_file (stem ^ "_trace.json"))
+        (Json.to_string ~indent:2 (Run_report.chrome_trace [ sim_only ]) ^ "\n"))
+    Strategy.all
 
 (* Acceptance shape: one complete event per engine task, attributed to
    strategy, site (pid) and phase. *)
@@ -763,4 +785,6 @@ let suite =
     Alcotest.test_case "utilization table" `Quick test_utilization_renders;
     Alcotest.test_case "figure json" `Quick test_figure_json;
     Alcotest.test_case "bench validation" `Quick test_bench_validation;
+    Alcotest.test_case "Q1 goldens, all strategies" `Quick
+      test_q1_goldens_all_strategies;
   ]
