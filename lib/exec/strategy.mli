@@ -107,6 +107,11 @@ val effective_timeout : ?latency_of:(int -> float option) -> retry -> dst:int ->
     Exposed so the serve layer and experiments resolve exactly the timeout
     the executors use. *)
 
+val retry_wait : retry -> timeout:Time.t -> attempt:int -> Time.t
+(** The wait after failed attempt [attempt] (>= 1) before the next one:
+    [timeout x backoff^min(attempt - 1, 6)]. Every retry chain uses it,
+    the workload engine's precomputed leg fates included. *)
+
 type options = {
   cost : Cost.t;
   deep_certify : bool;
@@ -229,6 +234,35 @@ type metrics = {
 }
 
 val run : ?options:options -> t -> Federation.t -> Analysis.t -> Answer.t * metrics
+
+(** {2 The localized plan}
+
+    The host-side half of the localized strategies, shared with the
+    workload engine's planner ([Msdq_serve.Serve]). *)
+
+type local_phase = {
+  plan : Localize.db_plan;
+  result : Local_result.t;
+  built : Checks.built;  (** no requests for LO *)
+  probe_units : int option;  (** probe work, PL/PLS only *)
+  eval_units : int;  (** local evaluation, row tagging included *)
+  dispatch_units : int;  (** check dispatch: GOid probes, signature tests *)
+}
+
+val local_phase :
+  parallel:bool -> checks:bool -> ?signatures:Sig_catalog.t ->
+  tracer:Msdq_obs.Tracer.t -> Federation.t -> Analysis.t -> Localize.db_plan ->
+  local_phase
+(** One database's local phase. [parallel] (PL/PLS) probes every root
+    object first and builds checks over the probe's missing items;
+    otherwise (BL/BLS) the checks cover the unsolved items of the maybe
+    rows. [Local_eval.run] runs either way. [checks = false] (LO) builds no
+    checks. [signatures] pre-filters the checks (BLS/PLS). *)
+
+val check_batches :
+  Checks.request list -> ((string * string) * Checks.request list) list
+(** Check requests grouped per (origin, target) database pair: batches in
+    order of first appearance, requests in their original order. *)
 
 val phase_breakdown : metrics -> (string * Time.t * int) list
 (** Busy time and task count per paper phase, computed from the task trace's

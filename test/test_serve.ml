@@ -391,6 +391,48 @@ let test_lost_verdicts_demote_warm_and_cold () =
   Alcotest.(check bool) "drops surfaced in the workload registry" true
     (Msdq_obs.Metrics.total warm.Serve.registry "msdq_fault_drops_total" > 0)
 
+(* docs/FAULTS.md: retry waits grow as timeout x backoff^min(attempt - 1, 6).
+   With ten attempts the cap binds from the eighth wait on, so a round trip
+   lost on every attempt gives up after 1 + 2 + ... + 64 + 3 x 64 = 319 ms
+   of waits, not 1,023 ms. *)
+let test_backoff_cap () =
+  let fed, analyze = setup () in
+  let analysis = analyze Paper_example.q1 in
+  (* every request into a database site is lost; verdicts would get home *)
+  let fault =
+    {
+      Fault.none with
+      Fault.links =
+        List.map
+          (fun dst -> { Fault.dst; drop = 1.0; inflate = 1.0; jitter = 0.0 })
+          [ 1; 2; 3 ];
+    }
+  in
+  let retry =
+    {
+      Strategy.default_retry with
+      Strategy.timeout = ms 1.0;
+      max_attempts = 10;
+      backoff = 2.0;
+    }
+  in
+  let options = { Strategy.default_options with Strategy.fault; retry } in
+  let out =
+    Serve.run ~trace:true (config ~options ()) fed [ job Strategy.Bl analysis ]
+  in
+  let waits =
+    List.filter_map
+      (fun (e : Trace.entry) ->
+        if String.starts_with ~prefix:"serve:q0:abandon:" e.Trace.label then
+          Some (Time.to_us (Time.sub e.Trace.finish e.Trace.start))
+        else None)
+      out.Serve.trace
+  in
+  Alcotest.(check bool) "a check round trip was lost" true (waits <> []);
+  List.iter
+    (fun w -> Alcotest.(check (float 1e-6)) "capped retry waits" 319_000.0 w)
+    waits
+
 (* ---- mixed-strategy stream sanity ---- *)
 
 let test_mixed_stream () =
@@ -926,6 +968,7 @@ let suite =
     Alcotest.test_case "crash invalidates cache" `Quick test_crash_invalidates_cache;
     Alcotest.test_case "lost verdicts demote warm and cold" `Quick
       test_lost_verdicts_demote_warm_and_cold;
+    Alcotest.test_case "retry waits are capped" `Quick test_backoff_cap;
     Alcotest.test_case "mixed-strategy stream" `Quick test_mixed_stream;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "shed policy parsing" `Quick test_shed_policy_parse;
