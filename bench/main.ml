@@ -9,26 +9,15 @@
    Usage: dune exec bench/main.exe [-- --quick | -- --samples N]
    The paper's setting is 500 parameter draws per point (the default).
 
-   Every run also writes a machine-readable BENCH_<timestamp>.json
-   (schema "msdq-bench/10", see Run_report) with the per-strategy
-   simulated times on the demo workload, the bechamel wall-clock
-   medians, the run's seed, a parallel section (jobs, measured speedup
-   of a calibration sweep), a fault_sweep section (certain-set recall
-   and response under injected site crashes), a recovery_sweep
-   section (retry-only vs failover vs failover+hedging recall and
-   demotion counts), a serve_sweep section (workload-engine
-   throughput vs cache capacity and admission window), a latency
-   section (per-strategy query-latency quantiles from a
-   telemetry-enabled serve run), an overload_sweep section (goodput and
-   tail latency vs offered load per shed policy) and an auto_sweep section (AUTO's
-   adaptive selection vs every fixed strategy — the validator enforces
-   the win condition), a gray_sweep section (gray-failure tolerance)
-   and a microbench section (columnar-engine throughput: boxed vs
-   columnar local evaluation and signature filtering, plus
-   certification rows/sec); --out DIR picks the directory, --jobs N sizes
-   the domain pool (default: all cores; 1 = sequential), --smoke runs
-   a reduced version for CI, and --check FILE validates an existing
-   result file against the schema (/1../10 all accepted). *)
+   Every run also writes a machine-readable BENCH_<timestamp>.json whose
+   sections Msdq_exp.Bench declares (docs/COST_MODEL.md lists the schema
+   versions): the per-strategy simulated times on the demo workload, the
+   bechamel wall-clock medians, the run's seed, the parallel calibration,
+   the fault, recovery, serve, AUTO, overload and gray sweeps, the
+   latency quantiles and the columnar microbench; --out DIR picks the
+   directory, --jobs N sizes the domain pool (default: all cores;
+   1 = sequential), --smoke runs a reduced version for CI, and --check
+   FILE validates an existing result file. *)
 
 open Msdq_fed
 open Msdq_query
@@ -85,7 +74,7 @@ let calibrate ?pool ~seed ~samples () =
     match pool with
     | None ->
       {
-        Run_report.jobs = 1;
+        Bench.jobs = 1;
         grid_points = grid seq_fig;
         seq_s;
         par_s = seq_s;
@@ -101,7 +90,7 @@ let calibrate ?pool ~seed ~samples () =
         exit 1
       end;
       {
-        Run_report.jobs = Msdq_par.Pool.jobs pool;
+        Bench.jobs = Msdq_par.Pool.jobs pool;
         grid_points = grid seq_fig;
         seq_s;
         par_s;
@@ -109,11 +98,8 @@ let calibrate ?pool ~seed ~samples () =
       }
   in
   Format.printf
-    "calibration sweep (fig10, %d samples/point, %d grid points):@." samples
-    p.Run_report.grid_points;
-  Format.printf "  jobs %d: sequential %.3fs, parallel %.3fs, speedup %.2fx@."
-    p.Run_report.jobs p.Run_report.seq_s p.Run_report.par_s
-    p.Run_report.speedup;
+    "calibration sweep (fig10, %d samples/point, %d grid points):@.  %a@." samples
+    p.Bench.grid_points Bench.pp_parallel p;
   Format.printf "  parallel output identical to sequential: true@.";
   p
 
@@ -288,37 +274,37 @@ let straggler_study () =
 (* simulated system; mean latency under load separates the strategies    *)
 (* further than single-query response time does.                         *)
 
+(* The federation and the four query shapes the throughput and latency
+   studies stream. *)
+let stream_workload () =
+  let fed =
+    Synth.generate
+      {
+        Synth.default with
+        Synth.seed = 23;
+        n_entities = 200;
+        p_host = 1.0;
+        p_attr_present = 0.75;
+        p_null = 0.12;
+      }
+  in
+  let schema = Global_schema.schema (Federation.global_schema fed) in
+  ( fed,
+    List.map
+      (fun q -> Analysis.analyze schema (Parser.parse q))
+      [
+        "select X.key from K0 X where X.p0 = 2 and X.next.p1 = 1";
+        "select X.key from K0 X where X.p1 = 3";
+        "select X.key from K0 X where X.next.p0 = 0 and X.p2 = 1";
+        "select X.key from K0 X where X.p0 = 1 or X.p1 = 2";
+      ] )
+
 let throughput_study () =
   section "throughput";
   Format.printf "Multi-query workloads (extension): 8 queries arrive at a@.";
   Format.printf "fixed interval; all share the simulated sites, so they queue@.";
   Format.printf "on disks, CPUs and the global site's incoming link.@.@.";
-  let cfg =
-    {
-      Synth.default with
-      Synth.seed = 23;
-      n_entities = 200;
-      p_host = 1.0;
-      p_attr_present = 0.75;
-      p_null = 0.12;
-    }
-  in
-  let fed = Synth.generate cfg in
-  let queries =
-    [
-      "select X.key from K0 X where X.p0 = 2 and X.next.p1 = 1";
-      "select X.key from K0 X where X.p1 = 3";
-      "select X.key from K0 X where X.next.p0 = 0 and X.p2 = 1";
-      "select X.key from K0 X where X.p0 = 1 or X.p1 = 2";
-    ]
-  in
-  let analyses =
-    List.map
-      (fun q ->
-        Analysis.analyze (Global_schema.schema (Federation.global_schema fed))
-          (Parser.parse q))
-      queries
-  in
+  let fed, analyses = stream_workload () in
   Format.printf "%-6s %-14s %14s %14s %14s@." "strat" "interval" "mean latency"
     "max latency" "makespan";
   List.iter
@@ -350,122 +336,13 @@ let throughput_study () =
     [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault sweep (robustness extension): the concrete executors under site  *)
-(* crashes and lossy links — response degradation and certain-set recall. *)
-
-let fault_study ?pool ~seed ~samples () =
-  section "fault-sweep";
-  Format.printf
-    "Fault injection (extension): random recoverable crash schedules and@.\
-     5%% lossy links on the component sites. Recall = fraction of the@.\
-     fault-free certain results the degraded run still certifies; the@.\
-     fail-stop series is a client of the same faulty BL execution that@.\
-     aborts on any loss instead of degrading.@.@.";
-  let sweep = Fault_sweep.run ?pool ~seed ~samples () in
-  Format.printf "%-10s" "series";
-  Array.iter (fun a -> Format.printf " %8s" (Printf.sprintf "a=%.2f" a)) sweep.Fault_sweep.xs;
-  Format.printf "@.";
-  List.iter
-    (fun (ser : Fault_sweep.series) ->
-      Format.printf "%-10s" (ser.Fault_sweep.label ^ " rec");
-      Array.iter (fun r -> Format.printf " %8.3f" r) ser.Fault_sweep.recalls;
-      Format.printf "@.%-10s" (ser.Fault_sweep.label ^ " rsp");
-      Array.iter (fun r -> Format.printf " %7.4fs" r) ser.Fault_sweep.responses;
-      Format.printf "@.")
-    sweep.Fault_sweep.series;
-  sweep
-
-(* ------------------------------------------------------------------ *)
-(* Recovery sweep (failover extension): retry-only vs failover vs        *)
-(* failover+hedging on the same faulty executions.                       *)
-
-let recovery_study ?pool ~seed ~samples () =
-  section "recovery-sweep";
-  Format.printf
-    "Failover recovery (extension): the same chaos grid, comparing the@.\
-     recovery policies on each faulty execution. retry = per-link retries@.\
-     only; failover adds replica re-routing behind per-link circuit@.\
-     breakers; hedged also races a duplicate check to the second-best@.\
-     replica. CA has no check round trips, so its triple is the flat@.\
-     control. The a=1.00 column is lossy-link-only, not fault-free.@.@.";
-  let sweep = Fault_sweep.run_recovery ?pool ~seed ~samples () in
-  Format.printf "%-14s" "series";
-  Array.iter
-    (fun a -> Format.printf " %8s" (Printf.sprintf "a=%.2f" a))
-    sweep.Fault_sweep.rxs;
-  Format.printf "@.";
-  List.iter
-    (fun (ser : Fault_sweep.rseries) ->
-      Format.printf "%-14s" (ser.Fault_sweep.r_label ^ " rec");
-      Array.iter (fun r -> Format.printf " %8.3f" r) ser.Fault_sweep.r_recalls;
-      Format.printf "@.%-14s" (ser.Fault_sweep.r_label ^ " dem");
-      Array.iter (fun d -> Format.printf " %8.2f" d) ser.Fault_sweep.r_demoted;
-      Format.printf "@.")
-    sweep.Fault_sweep.rseries;
-  sweep
-
-let serve_study ?pool ~seed ~samples () =
-  section "serve-sweep";
-  Format.printf
-    "Workload engine (extension): repeated-query streams through the@.\
-     multi-query serve layer. Throughput = queries per simulated second;@.\
-     speedup = warm-over-cold makespan ratio at each cache capacity@.\
-     (capacity 0 is the cold anchor). Caching and batching never change@.\
-     an answer — the cache-soundness property the test suite checks.@.@.";
-  let sweep = Serve_sweep.run ?pool ~seed ~samples () in
-  Format.printf "%-12s" "series";
-  Array.iter
-    (fun kib -> Format.printf " %10s" (Printf.sprintf "%gKiB" kib))
-    sweep.Serve_sweep.xs;
-  Format.printf "@.";
-  List.iter
-    (fun (ser : Serve_sweep.series) ->
-      Format.printf "%-12s" (ser.Serve_sweep.label ^ " q/s");
-      Array.iter (fun t -> Format.printf " %10.2f" t) ser.Serve_sweep.throughputs;
-      Format.printf "@.%-12s" (ser.Serve_sweep.label ^ " spd");
-      Array.iter (fun s -> Format.printf " %10.3f" s) ser.Serve_sweep.speedups;
-      Format.printf "@.")
-    sweep.Serve_sweep.series;
-  sweep
-
-(* ------------------------------------------------------------------ *)
 (* Latency quantiles (telemetry extension): a telemetry-enabled serve run  *)
 (* per strategy; the per-query latency summaries become the bench file's   *)
-(* /6 "latency" section, so CI tracks tail latency across commits.         *)
+(* "latency" section, so CI tracks tail latency across commits.            *)
 
-let latency_study () =
-  section "latency";
-  Format.printf
-    "Query-latency quantiles (telemetry): 8-query streams through the@.\
-     workload engine with telemetry histograms enabled; per-strategy@.\
-     p50/p90/p99/max of query latency (arrival to answer).@.@.";
+let latency_summaries () =
   let module Serve = Msdq_serve.Serve in
-  let cfg =
-    {
-      Synth.default with
-      Synth.seed = 23;
-      n_entities = 200;
-      p_host = 1.0;
-      p_attr_present = 0.75;
-      p_null = 0.12;
-    }
-  in
-  let fed = Synth.generate cfg in
-  let queries =
-    [
-      "select X.key from K0 X where X.p0 = 2 and X.next.p1 = 1";
-      "select X.key from K0 X where X.p1 = 3";
-      "select X.key from K0 X where X.next.p0 = 0 and X.p2 = 1";
-      "select X.key from K0 X where X.p0 = 1 or X.p1 = 2";
-    ]
-  in
-  let analyses =
-    List.map
-      (fun q ->
-        Analysis.analyze (Global_schema.schema (Federation.global_schema fed))
-          (Parser.parse q))
-      queries
-  in
+  let fed, analyses = stream_workload () in
   let scfg =
     {
       Serve.default_config with
@@ -473,129 +350,36 @@ let latency_study () =
         { Strategy.default_options with Strategy.telemetry = true };
     }
   in
-  Format.printf "%-6s %10s %10s %10s %10s@." "strat" "p50" "p90" "p99" "max";
-  let summaries =
-    List.map
-      (fun strategy ->
-        let jobs =
-          List.init 8 (fun i ->
-              {
-                Serve.strategy;
-                analysis = List.nth analyses (i mod List.length analyses);
-                arrival = Msdq_simkit.Time.ms (float_of_int i *. 50.0);
-                deadline = None;
-              })
-        in
-        let out = Serve.run scfg fed jobs in
-        let lats =
-          List.map
-            (fun (r : Serve.query_report) ->
-              Msdq_simkit.Time.to_us r.Serve.latency)
-            out.Serve.reports
-        in
-        let s = Msdq_simkit.Stats.summarize lats in
-        Format.printf "%-6s %8.0fus %8.0fus %8.0fus %8.0fus@."
-          (Strategy.to_string strategy) s.Msdq_simkit.Stats.p50_us
-          s.Msdq_simkit.Stats.p90_us s.Msdq_simkit.Stats.p99_us
-          s.Msdq_simkit.Stats.max_us;
-        (Strategy.to_string strategy, s))
-      [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
-  in
-  summaries
+  List.map
+    (fun strategy ->
+      let jobs =
+        List.init 8 (fun i ->
+            {
+              Serve.strategy;
+              analysis = List.nth analyses (i mod List.length analyses);
+              arrival = Msdq_simkit.Time.ms (float_of_int i *. 50.0);
+              deadline = None;
+            })
+      in
+      let out = Serve.run scfg fed jobs in
+      let lats =
+        List.map
+          (fun (r : Serve.query_report) -> Msdq_simkit.Time.to_us r.Serve.latency)
+          out.Serve.reports
+      in
+      (Strategy.to_string strategy, Msdq_simkit.Stats.summarize lats))
+    [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 
 (* ------------------------------------------------------------------ *)
-(* AUTO vs fixed strategies: the optimizer's win condition, recorded in the
-   JSON file's auto_sweep section. Smoke and full runs use identical
-   parameters so the CI bench gate can compare results across runs. *)
+(* One study behind a JSON section: a header, what it measures, the run
+   and the section's table. *)
 
-let auto_study ~seed () =
-  section "auto";
-  Format.printf
-    "Adaptive strategy selection (AUTO): one mixed workload served once@.\
-     per fixed candidate strategy and once under the cost-based@.\
-     optimizer. Win condition: AUTO makespan <= best fixed makespan.@.@.";
-  let a = Auto_sweep.run ~seed () in
-  Format.printf "%-8s %12s@." "strategy" "makespan";
-  List.iter
-    (fun f ->
-      Format.printf "%-8s %10.2fms@."
-        (Strategy.to_string f.Auto_sweep.f_strategy)
-        (f.Auto_sweep.f_makespan_s *. 1e3))
-    a.Auto_sweep.fixed;
-  Format.printf "%-8s %10.2fms@." "AUTO" (a.Auto_sweep.auto_makespan_s *. 1e3);
-  Format.printf "@.decisions:";
-  List.iter
-    (fun (s, n) -> Format.printf " %s=%d" s n)
-    a.Auto_sweep.decisions;
-  Format.printf "  switches=%d@." a.Auto_sweep.switches;
-  Format.printf "estimator rank matches: %d/%d (%.0f%%)@."
-    a.Auto_sweep.rank_matches a.Auto_sweep.distinct
-    (a.Auto_sweep.rank_match_rate *. 100.0);
-  a
-
-(* ------------------------------------------------------------------ *)
-(* Overload robustness: goodput and tail latency vs offered load per shed
-   policy, recorded in the JSON file's overload_sweep section. Every cell
-   is pure in (seed, policy, multiplier), so smoke and full runs produce
-   identical sections the CI bench gate can compare across commits. *)
-
-let overload_study ?pool ~seed () =
-  section "overload";
-  Format.printf
-    "Overload robustness: one BL workload offered at 0.5x..3x capacity,@.\
-     served naively (unbounded queue, no deadline) and under each shed@.\
-     policy with a depth-bounded queue and a deadline budget. Win@.\
-     condition: admitted p99 under rejecting policies stays within 2x@.\
-     the at-capacity p99 while the naive tail grows without bound.@.@.";
-  let o = Overload_sweep.run ?pool ~seed () in
-  Format.printf
-    "capacity (solo response) %.2fms, deadline %.2fms, queue depth %d@.@."
-    o.Overload_sweep.solo_response_ms o.Overload_sweep.deadline_ms
-    o.Overload_sweep.queue_limit;
-  Format.printf "%-14s %5s %8s %5s %9s %5s %9s %9s@." "policy" "load"
-    "admitted" "shed" "goodput" "hit" "p50" "p99";
-  List.iter
-    (fun (p : Overload_sweep.point) ->
-      Format.printf "%-14s %4.1fx %5d/%-2d %5d %7.1f/s %5.2f %7.2fms %7.2fms@."
-        p.Overload_sweep.pt_policy p.Overload_sweep.pt_multiplier
-        p.Overload_sweep.pt_admitted p.Overload_sweep.pt_offered
-        p.Overload_sweep.pt_shed p.Overload_sweep.pt_goodput
-        p.Overload_sweep.pt_hit_rate p.Overload_sweep.pt_p50_ms
-        p.Overload_sweep.pt_p99_ms)
-    o.Overload_sweep.points;
-  Format.printf "@.at-capacity p99 %.2fms, tail bound %.2fms@."
-    o.Overload_sweep.cap_p99_ms
-    (2.0 *. o.Overload_sweep.cap_p99_ms);
-  o
-
-(* ------------------------------------------------------------------ *)
-(* Gray-failure tolerance: static vs adaptive retry timeouts across the
-   gray fault kinds, recorded in the JSON file's gray_sweep section. Every
-   cell is pure in (seed, policy, kind, severity), so smoke and full runs
-   produce identical sections the CI bench gate can compare across
-   commits. *)
-
-let gray_study ?pool ~seed () =
-  section "gray";
-  Format.printf
-    "Gray-failure tolerance: one BL workload served per (timeout policy,@.\
-     fault kind, severity) cell over a lossy link. Win condition: the@.\
-     adaptive arm demotes no more rows than the static arm on every cell@.\
-     and cuts mean response on the slowdown cells by at least %.0f%%.@.@."
-    (100.0 *. Gray_sweep.response_margin);
-  let g = Gray_sweep.run ?pool ~seed () in
-  Format.printf "static timeout %.2fms, baseline drop %.2f@.@."
-    g.Gray_sweep.static_timeout_ms g.Gray_sweep.drop;
-  Format.printf "%-9s %-9s %-7s %8s %6s %9s %9s@." "policy" "kind" "sev"
-    "demoted" "aband" "mean" "p99";
-  List.iter
-    (fun (p : Gray_sweep.point) ->
-      Format.printf "%-9s %-9s %-7s %8d %6d %7.2fms %7.2fms@."
-        p.Gray_sweep.pt_policy p.Gray_sweep.pt_kind p.Gray_sweep.pt_severity
-        p.Gray_sweep.pt_demoted_rows p.Gray_sweep.pt_abandoned_checks
-        p.Gray_sweep.pt_mean_ms p.Gray_sweep.pt_p99_ms)
-    g.Gray_sweep.points;
-  g
+let study name about run pp =
+  section name;
+  Format.printf "%s@.@." about;
+  let x = run () in
+  Format.printf "%a@." pp x;
+  x
 
 (* ------------------------------------------------------------------ *)
 (* Per-strategy simulated times on the demo workload, for the JSON file. *)
@@ -842,7 +626,7 @@ let microbench_study ~objects () =
   let certify_rate = mb_rate ~per_pass:rows (mb_time certify_pass) in
   let m =
     {
-      Run_report.mb_objects = objects;
+      Bench.mb_objects = objects;
       mb_boxed_eval = boxed_eval;
       mb_columnar_eval = columnar_eval;
       mb_eval_speedup = columnar_eval /. boxed_eval;
@@ -853,14 +637,7 @@ let microbench_study ~objects () =
       mb_certify_rows_per_s = certify_rate;
     }
   in
-  Format.printf "%-20s %14s %14s %9s@." "arm" "boxed/s" "columnar/s" "speedup";
-  Format.printf "%-20s %14.0f %14.0f %8.1fx@." "local-eval" m.Run_report.mb_boxed_eval
-    m.Run_report.mb_columnar_eval m.Run_report.mb_eval_speedup;
-  Format.printf "%-20s %14.0f %14.0f %8.1fx@." "signature-filter"
-    m.Run_report.mb_boxed_sig m.Run_report.mb_bitset_sig
-    m.Run_report.mb_sig_speedup;
-  Format.printf "%-20s %d rows at %.0f rows/s@." "certify"
-    m.Run_report.mb_certify_rows m.Run_report.mb_certify_rows_per_s;
+  Format.printf "%a@." Bench.pp_microbench m;
   m
 
 (* ------------------------------------------------------------------ *)
@@ -872,16 +649,86 @@ let timestamp () =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let write_bench_json ~out ~seed ~parallel ~fault_sweep ~recovery_sweep
-    ~serve_sweep ~latency ~auto_sweep ~overload_sweep ~gray_sweep ~microbench
-    ~wall =
+(* Studies every JSON section in document order and writes the file.
+   [samples] sizes the calibration, fault, recovery and serve sweeps,
+   [objects] the columnar microbench and [quota] each bechamel test. *)
+let write_bench_json ?pool ~out ~seed ~samples:(calibration, fault, recovery, serve)
+    ~objects ~quota () =
+  let parallel = calibrate ?pool ~seed ~samples:calibration () in
+  let fault_sweep =
+    study "fault-sweep"
+      "Fault injection (extension): random recoverable crash schedules and\n\
+       5% lossy links on the component sites. Recall = fraction of the\n\
+       fault-free certain results the degraded run still certifies; the\n\
+       fail-stop series is a client of the same faulty BL execution that\n\
+       aborts on any loss instead of degrading."
+      (fun () -> Fault_sweep.run ?pool ~seed ~samples:fault ())
+      Fault_sweep.pp
+  in
+  let recovery_sweep =
+    study "recovery-sweep"
+      "Failover recovery (extension): the same chaos grid, comparing the\n\
+       recovery policies on each faulty execution. retry = per-link retries\n\
+       only; failover adds replica re-routing behind per-link circuit\n\
+       breakers; hedged also races a duplicate check to the second-best\n\
+       replica. CA has no check round trips, so its triple is the flat\n\
+       control. The a=1.00 column is lossy-link-only, not fault-free."
+      (fun () -> Fault_sweep.run_recovery ?pool ~seed ~samples:recovery ())
+      Fault_sweep.pp_recovery
+  in
+  let serve_sweep =
+    study "serve-sweep"
+      "Workload engine (extension): repeated-query streams through the\n\
+       multi-query serve layer. Throughput = queries per simulated second;\n\
+       speedup = warm-over-cold makespan ratio at each cache capacity\n\
+       (capacity 0 is the cold anchor). Caching and batching never change\n\
+       an answer — the cache-soundness property the test suite checks."
+      (fun () -> Serve_sweep.run ?pool ~seed ~samples:serve ())
+      Serve_sweep.pp
+  in
+  let latency =
+    study "latency"
+      "Query-latency quantiles (telemetry): 8-query streams through the\n\
+       workload engine with telemetry histograms enabled; per-strategy\n\
+       p50/p90/p99/max of query latency (arrival to answer)."
+      latency_summaries Bench.pp_latency
+  in
+  (* The AUTO, overload and gray sweeps take the same parameters in smoke
+     and full runs, so the CI bench gate can compare them across runs. *)
+  let auto_sweep =
+    study "auto"
+      "Adaptive strategy selection (AUTO): one mixed workload served once\n\
+       per fixed candidate strategy and once under the cost-based\n\
+       optimizer. Win condition: AUTO makespan <= best fixed makespan."
+      (fun () -> Auto_sweep.run ~seed ())
+      Auto_sweep.pp
+  in
+  let overload_sweep =
+    study "overload"
+      "Overload robustness: one BL workload offered at 0.5x..3x capacity,\n\
+       served naively (unbounded queue, no deadline) and under each shed\n\
+       policy with a depth-bounded queue and a deadline budget. Win\n\
+       condition: admitted p99 under rejecting policies stays within 2x\n\
+       the at-capacity p99 while the naive tail grows without bound."
+      (fun () -> Overload_sweep.run ?pool ~seed ())
+      Overload_sweep.pp
+  in
+  let gray_sweep =
+    study "gray"
+      "Gray-failure tolerance: one BL workload served per (timeout policy,\n\
+       fault kind, severity) cell over a lossy link."
+      (fun () -> Gray_sweep.run ?pool ~seed ())
+      Gray_sweep.pp
+  in
+  let microbench = microbench_study ~objects () in
+  let wall = microbenches ~quota () in
   let generated_at = timestamp () in
   let doc =
-    Run_report.bench_to_json ~generated_at ~seed ~parallel ~fault_sweep
-      ~recovery_sweep ~serve_sweep ~latency ~auto_sweep ~overload_sweep
-      ~gray_sweep ~microbench ~strategies:(strategy_times ()) ~wall
+    Bench.to_json ~generated_at ~seed ~parallel ~fault_sweep ~recovery_sweep
+      ~serve_sweep ~latency ~auto_sweep ~overload_sweep ~gray_sweep ~microbench
+      ~strategies:(strategy_times ()) ~wall
   in
-  (match Run_report.validate_bench doc with
+  (match Bench.validate doc with
   | Ok () -> ()
   | Error msg ->
     Format.eprintf "internal error: generated an invalid bench document: %s@." msg;
@@ -897,28 +744,11 @@ let write_bench_json ~out ~seed ~parallel ~fault_sweep ~recovery_sweep
   Format.printf "@.wrote %s@." path
 
 let check_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let contents = really_input_string ic len in
-  close_in ic;
-  match Msdq_obs.Json.of_string contents with
+  match Bench.load path with
+  | Ok (schema, _) -> Format.printf "%s: valid %s document@." path schema
   | Error msg ->
-    Format.eprintf "%s: not valid JSON: %s@." path msg;
+    Format.eprintf "%s@." msg;
     exit 1
-  | Ok doc -> (
-    match Run_report.validate_bench doc with
-    | Ok () ->
-      let schema =
-        match
-          Option.(Msdq_obs.Json.member "schema" doc |> map Msdq_obs.Json.to_str |> join)
-        with
-        | Some s -> s
-        | None -> Run_report.bench_schema
-      in
-      Format.printf "%s: valid %s document@." path schema
-    | Error msg ->
-      Format.eprintf "%s: %s@." path msg;
-      exit 1)
 
 (* ------------------------------------------------------------------ *)
 
@@ -943,7 +773,7 @@ let () =
       ("--out", Arg.Set_string out, "DIR  directory for BENCH_<timestamp>.json (default .)");
       ( "--check",
         Arg.String (fun f -> check := Some f),
-        "FILE  validate FILE against the bench schema (/1../10) and exit" );
+        "FILE  validate FILE against the bench schema (/6../10) and exit" );
     ]
   in
   Arg.parse spec
@@ -971,19 +801,8 @@ let () =
         "smoke mode: strategy times, parallel calibration + a minimal \
          microbench only.@.";
       tables ();
-      let parallel = calibrate ?pool ~seed:!seed ~samples:40 () in
-      let fault_sweep = fault_study ?pool ~seed:!seed ~samples:3 () in
-      let recovery_sweep = recovery_study ?pool ~seed:!seed ~samples:2 () in
-      let serve_sweep = serve_study ?pool ~seed:!seed ~samples:2 () in
-      let latency = latency_study () in
-      let auto_sweep = auto_study ~seed:!seed () in
-      let overload_sweep = overload_study ?pool ~seed:!seed () in
-      let gray_sweep = gray_study ?pool ~seed:!seed () in
-      let microbench = microbench_study ~objects:20_000 () in
-      let wall = microbenches ~quota:0.05 () in
-      write_bench_json ~out:!out ~seed:!seed ~parallel ~fault_sweep
-        ~recovery_sweep ~serve_sweep ~latency ~auto_sweep ~overload_sweep
-        ~gray_sweep ~microbench ~wall
+      write_bench_json ?pool ~out:!out ~seed:!seed ~samples:(40, 3, 2, 2)
+        ~objects:20_000 ~quota:0.05 ()
     end
     else begin
       Format.printf "parameter draws per point: %d@." !samples;
@@ -993,18 +812,7 @@ let () =
       planner_study ();
       straggler_study ();
       throughput_study ();
-      let parallel = calibrate ?pool ~seed:!seed ~samples:!samples () in
-      let fault_sweep = fault_study ?pool ~seed:!seed ~samples:12 () in
-      let recovery_sweep = recovery_study ?pool ~seed:!seed ~samples:8 () in
-      let serve_sweep = serve_study ?pool ~seed:!seed ~samples:6 () in
-      let latency = latency_study () in
-      let auto_sweep = auto_study ~seed:!seed () in
-      let overload_sweep = overload_study ?pool ~seed:!seed () in
-      let gray_sweep = gray_study ?pool ~seed:!seed () in
-      let microbench = microbench_study ~objects:200_000 () in
-      let wall = microbenches ~quota:0.4 () in
-      write_bench_json ~out:!out ~seed:!seed ~parallel ~fault_sweep
-        ~recovery_sweep ~serve_sweep ~latency ~auto_sweep ~overload_sweep
-        ~gray_sweep ~microbench ~wall;
+      write_bench_json ?pool ~out:!out ~seed:!seed
+        ~samples:(!samples, 12, 8, 6) ~objects:200_000 ~quota:0.4 ();
       Format.printf "@.done.@."
     end

@@ -302,280 +302,19 @@ let query_cmd =
 
 (* ---- experiment ---- *)
 
-let pp_fault_sweep ppf (sweep : Fault_sweep.sweep) =
-  Format.fprintf ppf "@[<v>%s — %s@,(%d samples per level, seed %d)@,@,"
-    sweep.Fault_sweep.id sweep.Fault_sweep.title sweep.Fault_sweep.samples
-    sweep.Fault_sweep.seed;
-  Format.fprintf ppf "%-16s" sweep.Fault_sweep.xlabel;
-  Array.iter
-    (fun a -> Format.fprintf ppf " %9s" (Printf.sprintf "%.2f" a))
-    sweep.Fault_sweep.xs;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (ser : Fault_sweep.series) ->
-      Format.fprintf ppf "%-16s" (ser.Fault_sweep.label ^ " recall");
-      Array.iter (fun r -> Format.fprintf ppf " %9.3f" r) ser.Fault_sweep.recalls;
-      Format.fprintf ppf "@,%-16s" (ser.Fault_sweep.label ^ " response");
-      Array.iter
-        (fun r -> Format.fprintf ppf " %8.4fs" r)
-        ser.Fault_sweep.responses;
-      Format.fprintf ppf "@,")
-    sweep.Fault_sweep.series;
-  Format.fprintf ppf "@]"
-
-let fault_sweep_csv (sweep : Fault_sweep.sweep) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "availability";
-  List.iter
-    (fun (ser : Fault_sweep.series) ->
-      Buffer.add_string b
-        (Printf.sprintf ",%s_recall,%s_response_s" ser.Fault_sweep.label
-           ser.Fault_sweep.label))
-    sweep.Fault_sweep.series;
-  Buffer.add_char b '\n';
-  Array.iteri
-    (fun i a ->
-      Buffer.add_string b (Printf.sprintf "%g" a);
-      List.iter
-        (fun (ser : Fault_sweep.series) ->
-          Buffer.add_string b
-            (Printf.sprintf ",%g,%g"
-               ser.Fault_sweep.recalls.(i)
-               ser.Fault_sweep.responses.(i)))
-        sweep.Fault_sweep.series;
-      Buffer.add_char b '\n')
-    sweep.Fault_sweep.xs;
-  Buffer.contents b
-
-let run_fault_sweep ?pool ~registry ?progress ~samples ~seed ~drop ~inflate
-    ~csv ~json () =
-  (* The figure sweeps default to the paper's 500 draws per point; a
-     concrete-execution sweep at that scale would run six full strategy
-     executions per draw, so its default is smaller. An explicit --samples
-     below the figure default is honoured. *)
-  let samples = if samples = 500 then 12 else samples in
-  let drop = Option.value drop ~default:0.05 in
-  let sweep =
-    Fault_sweep.run ?pool ~registry ?progress ~samples ~seed ~drop ~inflate ()
+(* Runs [f] on a domain pool of [jobs] workers (0 = all cores, 1 = none). *)
+let with_pool jobs f =
+  let jobs =
+    if jobs = 0 then Domain.recommended_domain_count ()
+    else if jobs >= 1 then jobs
+    else begin
+      Format.eprintf "--jobs must be >= 1 (or 0 for all cores)@.";
+      exit 1
+    end
   in
-  if not json then Format.printf "%a@." pp_fault_sweep sweep;
-  (match csv with
-  | None -> ()
-  | Some dir ->
-    let path = Filename.concat dir (sweep.Fault_sweep.id ^ ".csv") in
-    let oc = open_out path in
-    output_string oc (fault_sweep_csv sweep);
-    close_out oc;
-    if not json then Format.printf "wrote %s@." path);
-  if json then begin
-    let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("fault_sweep", Run_report.fault_sweep_to_json sweep);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
-
-let pp_recovery_sweep ppf (sweep : Fault_sweep.recovery_sweep) =
-  Format.fprintf ppf "@[<v>%s — %s@,(%d samples per level, seed %d)@,@,"
-    sweep.Fault_sweep.rid sweep.Fault_sweep.rtitle sweep.Fault_sweep.rsamples
-    sweep.Fault_sweep.rseed;
-  Format.fprintf ppf "%-20s" sweep.Fault_sweep.rxlabel;
-  Array.iter
-    (fun a -> Format.fprintf ppf " %9s" (Printf.sprintf "%.2f" a))
-    sweep.Fault_sweep.rxs;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (ser : Fault_sweep.rseries) ->
-      Format.fprintf ppf "%-20s" (ser.Fault_sweep.r_label ^ " recall");
-      Array.iter
-        (fun r -> Format.fprintf ppf " %9.3f" r)
-        ser.Fault_sweep.r_recalls;
-      Format.fprintf ppf "@,%-20s" (ser.Fault_sweep.r_label ^ " demoted");
-      Array.iter
-        (fun d -> Format.fprintf ppf " %9.2f" d)
-        ser.Fault_sweep.r_demoted;
-      Format.fprintf ppf "@,")
-    sweep.Fault_sweep.rseries;
-  Format.fprintf ppf "@]"
-
-let recovery_sweep_csv (sweep : Fault_sweep.recovery_sweep) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "availability";
-  List.iter
-    (fun (ser : Fault_sweep.rseries) ->
-      Buffer.add_string b
-        (Printf.sprintf ",%s_recall,%s_demoted,%s_response_s"
-           ser.Fault_sweep.r_label ser.Fault_sweep.r_label
-           ser.Fault_sweep.r_label))
-    sweep.Fault_sweep.rseries;
-  Buffer.add_char b '\n';
-  Array.iteri
-    (fun i a ->
-      Buffer.add_string b (Printf.sprintf "%g" a);
-      List.iter
-        (fun (ser : Fault_sweep.rseries) ->
-          Buffer.add_string b
-            (Printf.sprintf ",%g,%g,%g"
-               ser.Fault_sweep.r_recalls.(i)
-               ser.Fault_sweep.r_demoted.(i)
-               ser.Fault_sweep.r_responses.(i)))
-        sweep.Fault_sweep.rseries;
-      Buffer.add_char b '\n')
-    sweep.Fault_sweep.rxs;
-  Buffer.contents b
-
-let run_recovery_sweep ?pool ~registry ?progress ~samples ~seed ~drop ~inflate
-    ~csv ~json () =
-  (* Nine series of full strategy executions per draw: the default sample
-     count is smaller still than the fault sweep's. *)
-  let samples = if samples = 500 then 8 else samples in
-  let drop = Option.value drop ~default:0.2 in
-  let sweep =
-    Fault_sweep.run_recovery ?pool ~registry ?progress ~samples ~seed ~drop
-      ~inflate ()
-  in
-  if not json then Format.printf "%a@." pp_recovery_sweep sweep;
-  (match csv with
-  | None -> ()
-  | Some dir ->
-    let path = Filename.concat dir (sweep.Fault_sweep.rid ^ ".csv") in
-    let oc = open_out path in
-    output_string oc (recovery_sweep_csv sweep);
-    close_out oc;
-    if not json then Format.printf "wrote %s@." path);
-  if json then begin
-    let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("recovery_sweep", Run_report.recovery_sweep_to_json sweep);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
-
-let pp_auto_sweep ppf (a : Auto_sweep.outcome) =
-  Format.fprintf ppf "%s — %s@.@." a.Auto_sweep.id a.Auto_sweep.title;
-  Format.fprintf ppf "%d queries (%d distinct), seed %d, %.0fms arrival spacing@.@."
-    a.Auto_sweep.queries a.Auto_sweep.distinct a.Auto_sweep.seed
-    (a.Auto_sweep.spacing_us /. 1e3);
-  Format.fprintf ppf "%-8s %12s@." "strategy" "makespan";
-  List.iter
-    (fun (f : Auto_sweep.fixed_run) ->
-      Format.fprintf ppf "%-8s %10.2fms@."
-        (Strategy.to_string f.Auto_sweep.f_strategy)
-        (f.Auto_sweep.f_makespan_s *. 1e3))
-    a.Auto_sweep.fixed;
-  Format.fprintf ppf "%-8s %10.2fms@." "AUTO"
-    (a.Auto_sweep.auto_makespan_s *. 1e3);
-  Format.fprintf ppf "@.decisions:";
-  List.iter
-    (fun (s, n) -> Format.fprintf ppf " %s=%d" s n)
-    a.Auto_sweep.decisions;
-  Format.fprintf ppf "  switches=%d@." a.Auto_sweep.switches;
-  Format.fprintf ppf "estimator rank matches: %d/%d (%.0f%%)@."
-    a.Auto_sweep.rank_matches a.Auto_sweep.distinct
-    (a.Auto_sweep.rank_match_rate *. 100.0)
-
-let run_auto_sweep ~registry ?progress ~seed ~json () =
-  (* The sweep is a handful of serve runs on one fixed-size federation; it
-     needs no domain pool and ignores --samples. *)
-  let a = Auto_sweep.run ~registry ?progress ~seed () in
-  if not json then Format.printf "%a@." pp_auto_sweep a
-  else begin
-    let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("auto_sweep", Run_report.auto_sweep_to_json a);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
-
-let pp_overload_sweep ppf (o : Overload_sweep.outcome) =
-  Format.fprintf ppf "%s — %s@.@." o.Overload_sweep.id o.Overload_sweep.title;
-  Format.fprintf ppf
-    "%d queries per cell, seed %d; capacity (solo response) %.2fms, deadline \
-     %.2fms, queue depth %d@.@."
-    o.Overload_sweep.queries o.Overload_sweep.seed
-    o.Overload_sweep.solo_response_ms o.Overload_sweep.deadline_ms
-    o.Overload_sweep.queue_limit;
-  Format.fprintf ppf "%-14s %5s %8s %5s %9s %5s %9s %9s %8s@." "policy" "load"
-    "admitted" "shed" "goodput" "hit" "p50" "p99" "abandon";
-  List.iter
-    (fun (pt : Overload_sweep.point) ->
-      Format.fprintf ppf
-        "%-14s %4.1fx %5d/%-2d %5d %7.1f/s %5.2f %7.2fms %7.2fms %8d@."
-        pt.Overload_sweep.pt_policy pt.Overload_sweep.pt_multiplier
-        pt.Overload_sweep.pt_admitted pt.Overload_sweep.pt_offered
-        pt.Overload_sweep.pt_shed pt.Overload_sweep.pt_goodput
-        pt.Overload_sweep.pt_hit_rate pt.Overload_sweep.pt_p50_ms
-        pt.Overload_sweep.pt_p99_ms pt.Overload_sweep.pt_abandoned_checks)
-    o.Overload_sweep.points;
-  Format.fprintf ppf
-    "@.at-capacity p99 %.2fms; rejecting policies hold p99 within %.2fms at \
-     every overloaded point@."
-    o.Overload_sweep.cap_p99_ms
-    (2.0 *. o.Overload_sweep.cap_p99_ms)
-
-let run_overload_sweep ?pool ~registry ?progress ~seed ~json () =
-  let o = Overload_sweep.run ?pool ~registry ?progress ~seed () in
-  if not json then Format.printf "%a@." pp_overload_sweep o
-  else begin
-    let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("overload_sweep", Run_report.overload_sweep_to_json o);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
-
-let pp_gray_sweep ppf (o : Gray_sweep.outcome) =
-  Format.fprintf ppf "%s — %s@.@." o.Gray_sweep.id o.Gray_sweep.title;
-  Format.fprintf ppf
-    "%d queries per cell, seed %d; static timeout %.2fms, baseline drop \
-     %.2f@.@."
-    o.Gray_sweep.queries o.Gray_sweep.seed o.Gray_sweep.static_timeout_ms
-    o.Gray_sweep.drop;
-  Format.fprintf ppf "%-9s %-9s %-7s %8s %6s %9s %9s %5s@." "policy" "kind"
-    "sev" "demoted" "aband" "mean" "p99" "gray";
-  List.iter
-    (fun (pt : Gray_sweep.point) ->
-      Format.fprintf ppf "%-9s %-9s %-7s %8d %6d %7.2fms %7.2fms %5d@."
-        pt.Gray_sweep.pt_policy pt.Gray_sweep.pt_kind pt.Gray_sweep.pt_severity
-        pt.Gray_sweep.pt_demoted_rows pt.Gray_sweep.pt_abandoned_checks
-        pt.Gray_sweep.pt_mean_ms pt.Gray_sweep.pt_p99_ms
-        pt.Gray_sweep.pt_gray_sites)
-    o.Gray_sweep.points;
-  Format.fprintf ppf
-    "@.win condition: adaptive demotes no more rows than static on every \
-     cell and cuts mean response on the slowdown cells by at least %.0f%%@."
-    (100.0 *. Gray_sweep.response_margin)
-
-let run_gray_sweep ?pool ~registry ?progress ~seed ~json () =
-  let o = Gray_sweep.run ?pool ~registry ?progress ~seed () in
-  if not json then Format.printf "%a@." pp_gray_sweep o
-  else begin
-    let doc =
-      Msdq_obs.Json.Obj
-        [
-          ("gray_sweep", Run_report.gray_sweep_to_json o);
-          ("registry", Msdq_obs.Metrics.to_json registry);
-        ]
-    in
-    print_endline (Msdq_obs.Json.to_string ~indent:2 doc)
-  end;
-  `Ok ()
+  let pool = if jobs > 1 then Some (Msdq_par.Pool.create ~jobs ()) else None in
+  Fun.protect ~finally:(fun () -> Option.iter Msdq_par.Pool.shutdown pool) (fun () ->
+      f pool)
 
 let experiment which fault_sweep recovery_sweep auto_sweep overload_sweep
     gray_sweep samples seed jobs drop inflate csv chart json progress =
@@ -588,29 +327,75 @@ let experiment which fault_sweep recovery_sweep auto_sweep overload_sweep
           if completed = total then Format.eprintf "@.")
     else None
   in
-  let jobs =
-    if jobs = 0 then Domain.recommended_domain_count ()
-    else if jobs >= 1 then jobs
-    else begin
-      Format.eprintf "--jobs must be >= 1 (or 0 for all cores)@.";
-      exit 1
-    end
+  with_pool jobs @@ fun pool ->
+  let save_csv name contents =
+    match csv with
+    | None -> ()
+    | Some dir ->
+      let path = Filename.concat dir (name ^ ".csv") in
+      let oc = open_out path in
+      output_string oc contents;
+      close_out oc;
+      if not json then Format.printf "wrote %s@." path
   in
-  let pool = if jobs > 1 then Some (Msdq_par.Pool.create ~jobs ()) else None in
-  Fun.protect ~finally:(fun () -> Option.iter Msdq_par.Pool.shutdown pool)
-  @@ fun () ->
-  if fault_sweep || String.equal which "fault-sweep" then
-    run_fault_sweep ?pool ~registry ?progress ~samples ~seed ~drop ~inflate
-      ~csv ~json ()
-  else if recovery_sweep || String.equal which "recovery-sweep" then
-    run_recovery_sweep ?pool ~registry ?progress ~samples ~seed ~drop ~inflate
-      ~csv ~json ()
-  else if auto_sweep || String.equal which "auto-sweep" then
-    run_auto_sweep ~registry ?progress ~seed ~json ()
-  else if overload_sweep || String.equal which "overload-sweep" then
-    run_overload_sweep ?pool ~registry ?progress ~seed ~json ()
-  else if gray_sweep || String.equal which "gray-sweep" then
-    run_gray_sweep ?pool ~registry ?progress ~seed ~json ()
+  (* A sweep prints its table, or under --json its bench section keyed as
+     in BENCH_*.json plus the metrics registry. *)
+  let report (section : Bench_section.t) pp to_json x =
+    if json then
+      print_endline
+        (Msdq_obs.Json.to_string ~indent:2
+           (Msdq_obs.Json.Obj
+              [
+                (section.Bench_section.key, to_json x);
+                ("registry", Msdq_obs.Metrics.to_json registry);
+              ]))
+    else Format.printf "%a@." pp x
+  in
+  if fault_sweep || String.equal which "fault-sweep" then begin
+    (* The figure sweeps default to the paper's 500 draws per point; a
+       concrete-execution sweep at that scale would run six full strategy
+       executions per draw, so its default is smaller. An explicit --samples
+       below the figure default is honoured. *)
+    let samples = if samples = 500 then 12 else samples in
+    let drop = Option.value drop ~default:0.05 in
+    let sweep =
+      Fault_sweep.run ?pool ~registry ?progress ~samples ~seed ~drop ~inflate ()
+    in
+    report Fault_sweep.section Fault_sweep.pp Fault_sweep.to_json sweep;
+    save_csv sweep.Fault_sweep.id (Fault_sweep.to_csv sweep);
+    `Ok ()
+  end
+  else if recovery_sweep || String.equal which "recovery-sweep" then begin
+    (* Nine series of full strategy executions per draw: the default sample
+       count is smaller still than the fault sweep's. *)
+    let samples = if samples = 500 then 8 else samples in
+    let drop = Option.value drop ~default:0.2 in
+    let sweep =
+      Fault_sweep.run_recovery ?pool ~registry ?progress ~samples ~seed ~drop
+        ~inflate ()
+    in
+    report Fault_sweep.recovery_section Fault_sweep.pp_recovery
+      Fault_sweep.recovery_to_json sweep;
+    save_csv sweep.Fault_sweep.rid (Fault_sweep.recovery_to_csv sweep);
+    `Ok ()
+  end
+  else if auto_sweep || String.equal which "auto-sweep" then begin
+    (* The sweep is a handful of serve runs on one fixed-size federation; it
+       needs no domain pool and ignores --samples. *)
+    report Auto_sweep.section Auto_sweep.pp Auto_sweep.to_json
+      (Auto_sweep.run ~registry ?progress ~seed ());
+    `Ok ()
+  end
+  else if overload_sweep || String.equal which "overload-sweep" then begin
+    report Overload_sweep.section Overload_sweep.pp Overload_sweep.to_json
+      (Overload_sweep.run ?pool ~registry ?progress ~seed ());
+    `Ok ()
+  end
+  else if gray_sweep || String.equal which "gray-sweep" then begin
+    report Gray_sweep.section Gray_sweep.pp Gray_sweep.to_json
+      (Gray_sweep.run ?pool ~registry ?progress ~seed ());
+    `Ok ()
+  end
   else
   let figures =
     match which with
@@ -641,14 +426,7 @@ let experiment which fault_sweep recovery_sweep auto_sweep overload_sweep
         end;
         Format.printf "%a@." Report.pp_checks (Shapes.check fig)
       end;
-      match csv with
-      | None -> ()
-      | Some dir ->
-        let path = Filename.concat dir (fig.Figures.id ^ ".csv") in
-        let oc = open_out path in
-        output_string oc (Report.to_csv fig);
-        close_out oc;
-        if not json then Format.printf "wrote %s@." path)
+      save_csv fig.Figures.id (Report.to_csv fig))
     figures;
   if json then begin
     let doc = Run_report.figures_to_json figures in
@@ -789,30 +567,6 @@ let experiment_cmd =
     term
 
 (* ---- serve ---- *)
-
-let pp_serve_sweep ppf (sweep : Serve_sweep.sweep) =
-  Format.fprintf ppf
-    "@[<v>%s — %s@,\
-     (%d queries per workload, %d samples, seed %d; speedup = cold/warm \
-     makespan)@,@,"
-    sweep.Serve_sweep.id sweep.Serve_sweep.title sweep.Serve_sweep.queries
-    sweep.Serve_sweep.samples sweep.Serve_sweep.seed;
-  Format.fprintf ppf "%-18s" sweep.Serve_sweep.xlabel;
-  Array.iter
-    (fun kib -> Format.fprintf ppf " %10s" (Printf.sprintf "%gKiB" kib))
-    sweep.Serve_sweep.xs;
-  Format.fprintf ppf "@,";
-  List.iter
-    (fun (ser : Serve_sweep.series) ->
-      Format.fprintf ppf "%-18s" (ser.Serve_sweep.label ^ " q/s");
-      Array.iter
-        (fun t -> Format.fprintf ppf " %10.2f" t)
-        ser.Serve_sweep.throughputs;
-      Format.fprintf ppf "@,%-18s" (ser.Serve_sweep.label ^ " speedup");
-      Array.iter (fun s -> Format.fprintf ppf " %10.3f" s) ser.Serve_sweep.speedups;
-      Format.fprintf ppf "@,")
-    sweep.Serve_sweep.series;
-  Format.fprintf ppf "@]"
 
 let serve_outcome_to_json ~query cfg (out : Msdq_serve.Serve.outcome) =
   let module Serve = Msdq_serve.Serve in
@@ -992,22 +746,11 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
   let module Serve = Msdq_serve.Serve in
   let module Lru = Msdq_serve.Lru in
   if sweep then begin
-    let jobs =
-      if jobs = 0 then Domain.recommended_domain_count ()
-      else if jobs >= 1 then jobs
-      else begin
-        Format.eprintf "--jobs must be >= 1 (or 0 for all cores)@.";
-        exit 1
-      end
-    in
-    let pool = if jobs > 1 then Some (Msdq_par.Pool.create ~jobs ()) else None in
-    Fun.protect ~finally:(fun () -> Option.iter Msdq_par.Pool.shutdown pool)
-    @@ fun () ->
+    with_pool jobs @@ fun pool ->
     let sweep = Serve_sweep.run ?pool ~samples ~seed () in
     if json then
-      print_endline
-        (Msdq_obs.Json.to_string ~indent:2 (Run_report.serve_sweep_to_json sweep))
-    else Format.printf "%a@." pp_serve_sweep sweep;
+      print_endline (Msdq_obs.Json.to_string ~indent:2 (Serve_sweep.to_json sweep))
+    else Format.printf "%a@." Serve_sweep.pp sweep;
     `Ok ()
   end
   else begin

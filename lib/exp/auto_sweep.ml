@@ -6,6 +6,8 @@ open Msdq_workload
 open Msdq_serve
 module Optimizer = Msdq_opt.Optimizer
 module Metrics = Msdq_obs.Metrics
+module Json = Msdq_obs.Json
+module S = Bench_section
 
 let log_src = Logs.Src.create "msdq.exp.auto" ~doc:"AUTO strategy sweep"
 
@@ -247,3 +249,97 @@ let min_fixed_makespan outcome =
   List.fold_left
     (fun acc f -> Float.min acc f.f_makespan_s)
     Float.infinity outcome.fixed
+
+(* ---- reports ---- *)
+
+let to_json a =
+  Json.Obj
+    [
+      ("id", Json.Str a.id);
+      ("title", Json.Str a.title);
+      ("queries", Json.Int a.queries);
+      ("distinct", Json.Int a.distinct);
+      ("seed", Json.Int a.seed);
+      ("spacing_us", Json.Float a.spacing_us);
+      ( "fixed",
+        Json.Arr
+          (List.map
+             (fun f ->
+               Json.Obj
+                 [
+                   ("strategy", Json.Str (Strategy.to_string f.f_strategy));
+                   ("makespan_s", Json.Float f.f_makespan_s);
+                 ])
+             a.fixed) );
+      ("auto_makespan_s", Json.Float a.auto_makespan_s);
+      ( "decisions",
+        Json.Arr
+          (List.map
+             (fun (strategy, count) ->
+               Json.Obj [ ("strategy", Json.Str strategy); ("count", Json.Int count) ])
+             a.decisions) );
+      ("switches", Json.Int a.switches);
+      ("rank_matches", Json.Int a.rank_matches);
+      ("rank_match_rate", Json.Float a.rank_match_rate);
+    ]
+
+let pp ppf a =
+  Format.fprintf ppf "%s — %s@.@." a.id a.title;
+  Format.fprintf ppf "%d queries (%d distinct), seed %d, %.0fms arrival spacing@.@."
+    a.queries a.distinct a.seed (a.spacing_us /. 1e3);
+  Format.fprintf ppf "%-8s %12s@." "strategy" "makespan";
+  List.iter
+    (fun f ->
+      Format.fprintf ppf "%-8s %10.2fms@." (Strategy.to_string f.f_strategy)
+        (f.f_makespan_s *. 1e3))
+    a.fixed;
+  Format.fprintf ppf "%-8s %10.2fms@." "AUTO" (a.auto_makespan_s *. 1e3);
+  Format.fprintf ppf "@.decisions:";
+  List.iter (fun (s, n) -> Format.fprintf ppf " %s=%d" s n) a.decisions;
+  Format.fprintf ppf "  switches=%d@." a.switches;
+  Format.fprintf ppf "estimator rank matches: %d/%d (%.0f%%)@." a.rank_matches
+    a.distinct (a.rank_match_rate *. 100.0)
+
+(* ---- bench section ---- *)
+
+(* Beyond shape, the experiment's win condition: AUTO's makespan is no
+   worse than the best fixed strategy's (a relative epsilon absorbs float
+   formatting round trips), so a regressing optimizer fails [--check]. *)
+let check c =
+  ignore (S.int ~min:1 c "queries");
+  ignore (S.int ~min:1 c "distinct");
+  let best =
+    List.fold_left
+      (fun acc f ->
+        ignore (S.str f "strategy");
+        Float.min acc (S.num ~range:S.Nonneg f "makespan_s"))
+      Float.infinity
+      (S.elements ~nonempty:true (S.field c "fixed"))
+  in
+  let auto = S.num ~range:S.Nonneg c "auto_makespan_s" in
+  if auto > best *. (1.0 +. 1e-9) then
+    S.invalid c "regression — AUTO makespan %g s exceeds the best fixed strategy's %g s"
+      auto best;
+  List.iter
+    (fun d ->
+      ignore (S.str d "strategy");
+      ignore (S.int ~min:0 d "count"))
+    (S.elements (S.field c "decisions"));
+  ignore (S.int ~min:0 c "switches");
+  ignore (S.num ~range:S.Fraction c "rank_match_rate")
+
+let section =
+  {
+    S.key = "auto_sweep";
+    since = 7;
+    check;
+    bars = [];
+    guard = [ "seed"; "queries"; "distinct" ];
+    metrics =
+      Some
+        (fun c ->
+          [
+            S.Time ("AUTO makespan", S.num c "auto_makespan_s");
+            S.Share ("rank-match rate", S.num c "rank_match_rate");
+          ]);
+  }

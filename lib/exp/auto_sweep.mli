@@ -51,3 +51,15 @@ val run :
 
 val min_fixed_makespan : outcome -> float
 (** The best fixed strategy's makespan — what AUTO has to beat. *)
+
+(** {1 Reports} *)
+
+val to_json : outcome -> Msdq_obs.Json.t
+(** The [auto_sweep] bench section, also the [--json] payload of
+    [msdq experiment auto-sweep]. *)
+
+val pp : Format.formatter -> outcome -> unit
+
+val section : Bench_section.t
+(** Its check enforces the win condition: AUTO's makespan does not exceed
+    the best fixed strategy's. *)

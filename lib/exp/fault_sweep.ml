@@ -6,6 +6,8 @@ open Msdq_exec
 open Msdq_workload
 module Metrics = Msdq_obs.Metrics
 module Fault = Msdq_fault.Fault
+module Json = Msdq_obs.Json
+module S = Bench_section
 
 let log_src = Logs.Src.create "msdq.exp.fault" ~doc:"fault-injection sweeps"
 
@@ -28,6 +30,7 @@ type sweep = {
 }
 
 let strategies = [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
+let fail_stop = "fail-stop"
 let availabilities = [| 0.7; 0.8; 0.9; 0.95; 1.0 |]
 
 (* A random concrete case: a synthetic federation plus a query that analyzes
@@ -208,7 +211,7 @@ let run ?pool ?registry ?progress ?(samples = 12) ?(seed = 1996)
   in
   let hard =
     {
-      label = "fail-stop";
+      label = fail_stop;
       responses = Array.init nx (fun li -> mean (fun r -> r.p_hard_response) li);
       recalls = Array.init nx (fun li -> mean (fun r -> r.p_hard_recall) li);
     }
@@ -424,3 +427,180 @@ let rseries_of sweep label =
   with
   | Some s -> s
   | None -> raise Not_found
+
+(* ---- reports ---- *)
+
+let json_floats a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a))
+
+let to_json s =
+  Json.Obj
+    [
+      ("id", Json.Str s.id);
+      ("title", Json.Str s.title);
+      ("xlabel", Json.Str s.xlabel);
+      ("availabilities", json_floats s.xs);
+      ("samples", Json.Int s.samples);
+      ("seed", Json.Int s.seed);
+      ( "series",
+        Json.Arr
+          (List.map
+             (fun ser ->
+               Json.Obj
+                 [
+                   ("label", Json.Str ser.label);
+                   ("responses_s", json_floats ser.responses);
+                   ("recalls", json_floats ser.recalls);
+                 ])
+             s.series) );
+    ]
+
+let recovery_to_json s =
+  Json.Obj
+    [
+      ("id", Json.Str s.rid);
+      ("title", Json.Str s.rtitle);
+      ("xlabel", Json.Str s.rxlabel);
+      ("availabilities", json_floats s.rxs);
+      ("samples", Json.Int s.rsamples);
+      ("seed", Json.Int s.rseed);
+      ( "series",
+        Json.Arr
+          (List.map
+             (fun ser ->
+               Json.Obj
+                 [
+                   ("label", Json.Str ser.r_label);
+                   ("responses_s", json_floats ser.r_responses);
+                   ("recalls", json_floats ser.r_recalls);
+                   ("demoted", json_floats ser.r_demoted);
+                 ])
+             s.rseries) );
+    ]
+
+let pp ppf sweep =
+  Format.fprintf ppf "@[<v>%s — %s@,(%d samples per level, seed %d)@,@,"
+    sweep.id sweep.title sweep.samples sweep.seed;
+  Format.fprintf ppf "%-16s" sweep.xlabel;
+  Array.iter
+    (fun a -> Format.fprintf ppf " %9s" (Printf.sprintf "%.2f" a))
+    sweep.xs;
+  Format.fprintf ppf "@,";
+  List.iter
+    (fun ser ->
+      Format.fprintf ppf "%-16s" (ser.label ^ " recall");
+      Array.iter (fun r -> Format.fprintf ppf " %9.3f" r) ser.recalls;
+      Format.fprintf ppf "@,%-16s" (ser.label ^ " response");
+      Array.iter (fun r -> Format.fprintf ppf " %8.4fs" r) ser.responses;
+      Format.fprintf ppf "@,")
+    sweep.series;
+  Format.fprintf ppf "@]"
+
+let pp_recovery ppf sweep =
+  Format.fprintf ppf "@[<v>%s — %s@,(%d samples per level, seed %d)@,@,"
+    sweep.rid sweep.rtitle sweep.rsamples sweep.rseed;
+  Format.fprintf ppf "%-20s" sweep.rxlabel;
+  Array.iter
+    (fun a -> Format.fprintf ppf " %9s" (Printf.sprintf "%.2f" a))
+    sweep.rxs;
+  Format.fprintf ppf "@,";
+  List.iter
+    (fun ser ->
+      Format.fprintf ppf "%-20s" (ser.r_label ^ " recall");
+      Array.iter (fun r -> Format.fprintf ppf " %9.3f" r) ser.r_recalls;
+      Format.fprintf ppf "@,%-20s" (ser.r_label ^ " demoted");
+      Array.iter (fun d -> Format.fprintf ppf " %9.2f" d) ser.r_demoted;
+      Format.fprintf ppf "@,")
+    sweep.rseries;
+  Format.fprintf ppf "@]"
+
+(* One row per availability level; [columns] names each series' columns and
+   reads the row's values. *)
+let csv ~xs ~labels ~columns ~row =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "availability";
+  List.iter
+    (fun label ->
+      List.iter (fun c -> Buffer.add_string b (Printf.sprintf ",%s_%s" label c)) columns)
+    labels;
+  Buffer.add_char b '\n';
+  Array.iteri
+    (fun i a ->
+      Buffer.add_string b (Printf.sprintf "%g" a);
+      List.iter
+        (fun vs -> List.iter (fun v -> Buffer.add_string b (Printf.sprintf ",%g" v)) vs)
+        (row i);
+      Buffer.add_char b '\n')
+    xs;
+  Buffer.contents b
+
+let to_csv s =
+  csv ~xs:s.xs
+    ~labels:(List.map (fun ser -> ser.label) s.series)
+    ~columns:[ "recall"; "response_s" ]
+    ~row:(fun i -> List.map (fun ser -> [ ser.recalls.(i); ser.responses.(i) ]) s.series)
+
+let recovery_to_csv s =
+  csv ~xs:s.rxs
+    ~labels:(List.map (fun ser -> ser.r_label) s.rseries)
+    ~columns:[ "recall"; "demoted"; "response_s" ]
+    ~row:(fun i ->
+      List.map
+        (fun ser -> [ ser.r_recalls.(i); ser.r_demoted.(i); ser.r_responses.(i) ])
+        s.rseries)
+
+(* ---- bench sections ---- *)
+
+(* The shape both availability sweeps share: a non-empty grid and, per
+   series, arrays of its length ([extra] adds arrays beyond responses and
+   recalls). Returns every series' label and recalls. *)
+let check_series ~extra c =
+  let n = List.length (S.floats c "availabilities") in
+  if n = 0 then S.invalid (S.field c "availabilities") "is empty";
+  List.map
+    (fun ser ->
+      ignore (S.floats ~len:n ser "responses_s");
+      List.iter (fun (k, range) -> ignore (S.floats ~range ~len:n ser k)) extra;
+      (S.str ser "label", S.floats ~range:S.Fraction ~len:n ser "recalls"))
+    (S.elements ~nonempty:true (S.field c "series"))
+
+(* Every strategy keeps at least the fail-stop baseline's certain-set
+   recall at every availability level: what sound degraded answers buy. *)
+let check c =
+  let series = check_series ~extra:[] c in
+  match List.assoc_opt fail_stop series with
+  | None -> ()
+  | Some floor ->
+      List.iter
+        (fun (label, recalls) ->
+          List.iteri
+            (fun i (r, b) ->
+              if r < b -. 1e-9 then
+                S.invalid c "%s recall %.3f below fail-stop %.3f at point %d" label r b i)
+            (List.combine recalls floor))
+        series
+
+let mean_responses c =
+  List.filter_map
+    (fun ser ->
+      match S.floats ser "responses_s" with
+      | [] -> None
+      | rs -> Some (S.Time (S.str ser "label" ^ " mean response", S.mean rs)))
+    (S.elements (S.field c "series"))
+
+let section =
+  {
+    S.key = "fault_sweep";
+    since = 3;
+    check;
+    bars = [];
+    guard = [ "seed"; "samples" ];
+    metrics = Some mean_responses;
+  }
+
+let recovery_section =
+  {
+    section with
+    S.key = "recovery_sweep";
+    since = 4;
+    check = (fun c -> ignore (check_series ~extra:[ ("demoted", S.Nonneg) ] c));
+  }

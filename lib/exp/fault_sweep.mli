@@ -122,3 +122,26 @@ val run_recovery :
 
 val rseries_of : recovery_sweep -> string -> rseries
 (** Raises [Not_found] when the sweep has no series with that label. *)
+
+(** {1 Reports} *)
+
+val to_json : sweep -> Msdq_obs.Json.t
+(** The [fault_sweep] bench section, also the [--json] payload of
+    [msdq experiment fault-sweep]. *)
+
+val recovery_to_json : recovery_sweep -> Msdq_obs.Json.t
+(** The [recovery_sweep] bench section. *)
+
+val pp : Format.formatter -> sweep -> unit
+val pp_recovery : Format.formatter -> recovery_sweep -> unit
+
+val to_csv : sweep -> string
+(** One row per availability level ([--csv]). *)
+
+val recovery_to_csv : recovery_sweep -> string
+
+val section : Bench_section.t
+(** Its check also holds every strategy's recall at or above the
+    fail-stop baseline's at every level. *)
+
+val recovery_section : Bench_section.t

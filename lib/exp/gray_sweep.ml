@@ -7,6 +7,8 @@ open Msdq_serve
 module Metrics = Msdq_obs.Metrics
 module Store = Msdq_telemetry.Store
 module Fault = Msdq_fault.Fault
+module Json = Msdq_obs.Json
+module S = Bench_section
 
 let log_src = Logs.Src.create "msdq.exp.gray" ~doc:"gray-failure tolerance sweep"
 
@@ -40,7 +42,8 @@ type outcome = {
 let static_policy = "static"
 let adaptive_policy = "adaptive"
 let policies = [ static_policy; adaptive_policy ]
-let kinds = [ "slowdown"; "jitter"; "flap"; "oneway" ]
+let slowdown = "slowdown"
+let kinds = [ slowdown; "jitter"; "flap"; "oneway" ]
 let severities = [ "mild"; "severe" ]
 
 (* Every cell shares a baseline lossy link (so retransmission waits exist
@@ -369,3 +372,115 @@ let point_of outcome ~policy ~kind ~severity =
       && String.equal p.pt_kind kind
       && String.equal p.pt_severity severity)
     outcome.points
+
+(* ---- reports ---- *)
+
+let to_json g =
+  let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+  Json.Obj
+    [
+      ("id", Json.Str g.id);
+      ("title", Json.Str g.title);
+      ("seed", Json.Int g.seed);
+      ("queries", Json.Int g.queries);
+      ("drop", Json.Float g.drop);
+      ("static_timeout_ms", Json.Float g.static_timeout_ms);
+      ("kinds", strs g.kinds);
+      ("severities", strs g.severities);
+      ("policies", strs g.policies);
+      ( "points",
+        Json.Arr
+          (List.map
+             (fun p ->
+               Json.Obj
+                 [
+                   ("policy", Json.Str p.pt_policy);
+                   ("kind", Json.Str p.pt_kind);
+                   ("severity", Json.Str p.pt_severity);
+                   ("queries", Json.Int p.pt_queries);
+                   ("demoted_rows", Json.Int p.pt_demoted_rows);
+                   ("abandoned_checks", Json.Int p.pt_abandoned_checks);
+                   ("mean_ms", Json.Float p.pt_mean_ms);
+                   ("p99_ms", Json.Float p.pt_p99_ms);
+                   ("gray_sites", Json.Int p.pt_gray_sites);
+                 ])
+             g.points) );
+    ]
+
+let pp ppf o =
+  Format.fprintf ppf "%s — %s@.@." o.id o.title;
+  Format.fprintf ppf
+    "%d queries per cell, seed %d; static timeout %.2fms, baseline drop \
+     %.2f@.@."
+    o.queries o.seed o.static_timeout_ms o.drop;
+  Format.fprintf ppf "%-9s %-9s %-7s %8s %6s %9s %9s %5s@." "policy" "kind"
+    "sev" "demoted" "aband" "mean" "p99" "gray";
+  List.iter
+    (fun pt ->
+      Format.fprintf ppf "%-9s %-9s %-7s %8d %6d %7.2fms %7.2fms %5d@."
+        pt.pt_policy pt.pt_kind pt.pt_severity pt.pt_demoted_rows
+        pt.pt_abandoned_checks pt.pt_mean_ms pt.pt_p99_ms pt.pt_gray_sites)
+    o.points;
+  Format.fprintf ppf
+    "@.win condition: adaptive demotes no more rows than static on every \
+     cell and cuts mean response on the slowdown cells by at least %.0f%%@."
+    (100.0 *. response_margin)
+
+(* ---- bench section ---- *)
+
+(* The win condition. Leg fates are timeout-independent by construction,
+   so the adaptive arm must never demote more rows than the static arm on
+   the same cell; and on the slowdown cells, the gray signature the
+   adaptive timeouts are built to exploit, its mean response must undercut
+   the static arm's by [response_margin]. *)
+let check c =
+  let points =
+    List.map
+      (fun p ->
+        ( (S.str p "policy", S.str p "kind", S.str p "severity"),
+          (S.int ~min:0 p "demoted_rows", S.num ~range:S.Nonneg p "mean_ms") ))
+      (S.elements ~nonempty:true (S.field c "points"))
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun severity ->
+          let cell policy =
+            match List.assoc_opt (policy, kind, severity) points with
+            | Some v -> v
+            | None -> S.invalid c "no %s/%s/%s point" policy kind severity
+          in
+          let sd, sm = cell static_policy and ad, am = cell adaptive_policy in
+          if ad > sd then
+            S.invalid c
+              "soundness regression — adaptive demotes %d rows on %s/%s where \
+               static demotes %d"
+              ad kind severity sd;
+          if String.equal kind slowdown && am > sm *. (1.0 -. response_margin) then
+            S.invalid c
+              "win-condition regression — adaptive mean %g ms on %s/%s is not \
+               %g%% under the static %g ms"
+              am kind severity (100.0 *. response_margin) sm)
+        severities)
+    kinds
+
+let section =
+  {
+    S.key = "gray_sweep";
+    since = 9;
+    check;
+    bars = [];
+    guard = [ "seed"; "queries" ];
+    metrics =
+      Some
+        (fun c ->
+          let adaptive =
+            List.filter_map
+              (fun p ->
+                if String.equal (S.str p "policy") adaptive_policy then
+                  Some (S.num p "mean_ms")
+                else None)
+              (S.elements (S.field c "points"))
+          in
+          [ S.Time ("mean adaptive response", S.mean adaptive) ]);
+  }

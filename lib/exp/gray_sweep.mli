@@ -89,3 +89,14 @@ val run :
 
 val point_of :
   outcome -> policy:string -> kind:string -> severity:string -> point option
+
+(** {1 Reports} *)
+
+val to_json : outcome -> Msdq_obs.Json.t
+(** The [gray_sweep] bench section, also the [--json] payload of
+    [msdq experiment gray-sweep]. *)
+
+val pp : Format.formatter -> outcome -> unit
+
+val section : Bench_section.t
+(** Its check enforces the win condition stated above. *)

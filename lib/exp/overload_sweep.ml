@@ -5,6 +5,8 @@ open Msdq_exec
 open Msdq_workload
 open Msdq_serve
 module Metrics = Msdq_obs.Metrics
+module Json = Msdq_obs.Json
+module S = Bench_section
 
 let log_src = Logs.Src.create "msdq.exp.overload" ~doc:"overload-robustness sweep"
 
@@ -270,3 +272,136 @@ let run ?pool ?registry ?progress ?(queries = 16) ?(seed = 1996)
 
 let points_of outcome policy =
   List.filter (fun p -> String.equal p.pt_policy policy) outcome.points
+
+(* ---- reports ---- *)
+
+let to_json o =
+  Json.Obj
+    [
+      ("id", Json.Str o.id);
+      ("title", Json.Str o.title);
+      ("seed", Json.Int o.seed);
+      ("queries", Json.Int o.queries);
+      ("queue_limit", Json.Int o.queue_limit);
+      ("solo_response_ms", Json.Float o.solo_response_ms);
+      ("deadline_ms", Json.Float o.deadline_ms);
+      ("cap_p99_ms", Json.Float o.cap_p99_ms);
+      ( "multipliers",
+        Json.Arr (List.map (fun m -> Json.Float m) (Array.to_list o.multipliers)) );
+      ("policies", Json.Arr (List.map (fun p -> Json.Str p) o.policies));
+      ( "points",
+        Json.Arr
+          (List.map
+             (fun p ->
+               Json.Obj
+                 [
+                   ("policy", Json.Str p.pt_policy);
+                   ("multiplier", Json.Float p.pt_multiplier);
+                   ("offered", Json.Int p.pt_offered);
+                   ("admitted", Json.Int p.pt_admitted);
+                   ("shed", Json.Int p.pt_shed);
+                   ("goodput_qps", Json.Float p.pt_goodput);
+                   ("deadline_hits", Json.Int p.pt_deadline_hits);
+                   ("hit_rate", Json.Float p.pt_hit_rate);
+                   ("p50_ms", Json.Float p.pt_p50_ms);
+                   ("p99_ms", Json.Float p.pt_p99_ms);
+                   ("demoted_rows", Json.Int p.pt_demoted_rows);
+                   ("abandoned_checks", Json.Int p.pt_abandoned_checks);
+                 ])
+             o.points) );
+    ]
+
+let pp ppf o =
+  Format.fprintf ppf "%s — %s@.@." o.id o.title;
+  Format.fprintf ppf
+    "%d queries per cell, seed %d; capacity (solo response) %.2fms, deadline \
+     %.2fms, queue depth %d@.@."
+    o.queries o.seed o.solo_response_ms o.deadline_ms o.queue_limit;
+  Format.fprintf ppf "%-14s %5s %8s %5s %9s %5s %9s %9s %8s@." "policy" "load"
+    "admitted" "shed" "goodput" "hit" "p50" "p99" "abandon";
+  List.iter
+    (fun pt ->
+      Format.fprintf ppf
+        "%-14s %4.1fx %5d/%-2d %5d %7.1f/s %5.2f %7.2fms %7.2fms %8d@."
+        pt.pt_policy pt.pt_multiplier pt.pt_admitted pt.pt_offered pt.pt_shed
+        pt.pt_goodput pt.pt_hit_rate pt.pt_p50_ms pt.pt_p99_ms
+        pt.pt_abandoned_checks)
+    o.points;
+  Format.fprintf ppf
+    "@.at-capacity p99 %.2fms; rejecting policies hold p99 within %.2fms at \
+     every overloaded point@."
+    o.cap_p99_ms (2.0 *. o.cap_p99_ms)
+
+(* ---- bench section ---- *)
+
+(* The robustness win condition: the naive unbounded baseline's p99 grows
+   monotonically with offered load and blows past twice the at-capacity
+   p99, while every rejecting shed policy keeps the p99 of admitted
+   queries within that 2x bound at every overloaded point. [degrade]
+   admits everything and trades latency for it, so its rows are reported
+   but not bounded. *)
+let check c =
+  let cap = S.num ~range:S.Positive c "cap_p99_ms" in
+  let points =
+    List.map
+      (fun p ->
+        ignore (S.int ~min:0 p "admitted");
+        ignore (S.int ~min:0 p "shed");
+        ignore (S.num ~range:S.Nonneg p "goodput_qps");
+        (S.str p "policy", S.num p "multiplier", S.num ~range:S.Nonneg p "p99_ms"))
+      (S.elements ~nonempty:true (S.field c "points"))
+  in
+  let row policy =
+    List.sort
+      (fun (_, a, _) (_, b, _) -> Float.compare a b)
+      (List.filter (fun (p, _, _) -> String.equal p policy) points)
+  in
+  let naive = row naive_policy in
+  if naive = [] then S.invalid c "has no %S baseline row" naive_policy;
+  let worst =
+    List.fold_left
+      (fun prev (_, m, p99) ->
+        if p99 +. 1e-9 < prev then
+          S.invalid c "naive p99 must grow with load but drops to %g ms at x%g" p99 m;
+        p99)
+      0.0 naive
+  in
+  if worst <= 2.0 *. cap then
+    S.invalid c
+      "naive p99 %g ms never exceeds twice the at-capacity p99 %g ms — the \
+       sweep is not overloaded"
+      worst cap;
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun (_, m, p99) ->
+          if m >= 2.0 && p99 > 2.0 *. cap *. (1.0 +. 1e-9) then
+            S.invalid c
+              "tail-bound regression — %s p99 %g ms at x%g exceeds twice the \
+               at-capacity p99 %g ms"
+              policy p99 m cap)
+        (row policy))
+    (List.map Serve.shed_policy_to_string [ Serve.Reject_newest; Serve.Reject_oldest ])
+
+let section =
+  {
+    S.key = "overload_sweep";
+    since = 8;
+    check;
+    bars = [];
+    guard = [ "seed"; "queries"; "queue_limit" ];
+    metrics =
+      Some
+        (fun c ->
+          let controlled =
+            List.filter_map
+              (fun p ->
+                if String.equal (S.str p "policy") naive_policy then None
+                else Some (S.num p "goodput_qps"))
+              (S.elements (S.field c "points"))
+          in
+          [
+            S.Time ("at-capacity p99", S.num c "cap_p99_ms");
+            S.Rate ("mean controlled goodput", S.mean controlled);
+          ]);
+  }

@@ -84,3 +84,14 @@ val run :
 
 val points_of : outcome -> string -> point list
 (** The points of one policy row, in multiplier order. *)
+
+(** {1 Reports} *)
+
+val to_json : outcome -> Msdq_obs.Json.t
+(** The [overload_sweep] bench section, also the [--json] payload of
+    [msdq experiment overload-sweep]. *)
+
+val pp : Format.formatter -> outcome -> unit
+
+val section : Bench_section.t
+(** Its check enforces the win condition stated above. *)

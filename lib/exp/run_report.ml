@@ -265,1087 +265,6 @@ let figure_to_json (fig : Figures.figure) =
 let figures_to_json figs =
   Json.Obj [ ("figures", Json.Arr (List.map figure_to_json figs)) ]
 
-(* ---- fault sweep ---- *)
-
-let fault_sweep_to_json (s : Fault_sweep.sweep) =
-  let floats a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a)) in
-  Json.Obj
-    [
-      ("id", Json.Str s.Fault_sweep.id);
-      ("title", Json.Str s.Fault_sweep.title);
-      ("xlabel", Json.Str s.Fault_sweep.xlabel);
-      ("availabilities", floats s.Fault_sweep.xs);
-      ("samples", Json.Int s.Fault_sweep.samples);
-      ("seed", Json.Int s.Fault_sweep.seed);
-      ( "series",
-        Json.Arr
-          (List.map
-             (fun (ser : Fault_sweep.series) ->
-               Json.Obj
-                 [
-                   ("label", Json.Str ser.Fault_sweep.label);
-                   ("responses_s", floats ser.Fault_sweep.responses);
-                   ("recalls", floats ser.Fault_sweep.recalls);
-                 ])
-             s.Fault_sweep.series) );
-    ]
-
-(* ---- recovery sweep ---- *)
-
-let recovery_sweep_to_json (s : Fault_sweep.recovery_sweep) =
-  let floats a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a)) in
-  Json.Obj
-    [
-      ("id", Json.Str s.Fault_sweep.rid);
-      ("title", Json.Str s.Fault_sweep.rtitle);
-      ("xlabel", Json.Str s.Fault_sweep.rxlabel);
-      ("availabilities", floats s.Fault_sweep.rxs);
-      ("samples", Json.Int s.Fault_sweep.rsamples);
-      ("seed", Json.Int s.Fault_sweep.rseed);
-      ( "series",
-        Json.Arr
-          (List.map
-             (fun (ser : Fault_sweep.rseries) ->
-               Json.Obj
-                 [
-                   ("label", Json.Str ser.Fault_sweep.r_label);
-                   ("responses_s", floats ser.Fault_sweep.r_responses);
-                   ("recalls", floats ser.Fault_sweep.r_recalls);
-                   ("demoted", floats ser.Fault_sweep.r_demoted);
-                 ])
-             s.Fault_sweep.rseries) );
-    ]
-
-(* ---- serve sweep ---- *)
-
-let serve_sweep_to_json (s : Serve_sweep.sweep) =
-  let floats a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a)) in
-  Json.Obj
-    [
-      ("id", Json.Str s.Serve_sweep.id);
-      ("title", Json.Str s.Serve_sweep.title);
-      ("xlabel", Json.Str s.Serve_sweep.xlabel);
-      ("cache_kib", floats s.Serve_sweep.xs);
-      ("windows_us", floats s.Serve_sweep.windows_us);
-      ("queries", Json.Int s.Serve_sweep.queries);
-      ("samples", Json.Int s.Serve_sweep.samples);
-      ("seed", Json.Int s.Serve_sweep.seed);
-      ( "series",
-        Json.Arr
-          (List.map
-             (fun (ser : Serve_sweep.series) ->
-               Json.Obj
-                 [
-                   ("label", Json.Str ser.Serve_sweep.label);
-                   ("strategy", Json.Str ser.Serve_sweep.strategy);
-                   ("window_us", Json.Float ser.Serve_sweep.window_us);
-                   ("throughputs", floats ser.Serve_sweep.throughputs);
-                   ("speedups", floats ser.Serve_sweep.speedups);
-                   ("hits_per_query", floats ser.Serve_sweep.hits);
-                 ])
-             s.Serve_sweep.series) );
-    ]
-
-(* ---- bench ---- *)
-
-let bench_schema_v1 = "msdq-bench/1"
-let bench_schema_v2 = "msdq-bench/2"
-let bench_schema_v3 = "msdq-bench/3"
-let bench_schema_v4 = "msdq-bench/4"
-let bench_schema_v5 = "msdq-bench/5"
-let bench_schema_v6 = "msdq-bench/6"
-let bench_schema_v7 = "msdq-bench/7"
-let bench_schema_v8 = "msdq-bench/8"
-let bench_schema_v9 = "msdq-bench/9"
-let bench_schema = "msdq-bench/10"
-
-(* The /10 section: columnar-engine throughput. Objects/sec of local
-   predicate evaluation and signature filtering in both representations
-   (the speedups are same-process ratios, so they are machine-independent
-   enough to gate on), plus end-to-end certification rows/sec. *)
-type microbench = {
-  mb_objects : int;  (** extent rows in the evaluation arms *)
-  mb_boxed_eval : float;  (** objs/s, per-object [Predicate.eval] *)
-  mb_columnar_eval : float;  (** objs/s, [Extent.eval_attr] *)
-  mb_eval_speedup : float;  (** columnar / boxed *)
-  mb_boxed_sig : float;  (** objs/s, per-object [Signature.may_satisfy] *)
-  mb_bitset_sig : float;  (** objs/s, [Sigset.refuted_count] *)
-  mb_sig_speedup : float;  (** bitset / boxed *)
-  mb_certify_rows : int;  (** local rows fed to one [Certify.run] pass *)
-  mb_certify_rows_per_s : float;
-}
-
-let microbench_to_json (m : microbench) =
-  Json.Obj
-    [
-      ("objects", Json.Int m.mb_objects);
-      ( "local_eval",
-        Json.Obj
-          [
-            ("boxed_objs_per_s", Json.Float m.mb_boxed_eval);
-            ("columnar_objs_per_s", Json.Float m.mb_columnar_eval);
-            ("speedup", Json.Float m.mb_eval_speedup);
-          ] );
-      ( "signature_filter",
-        Json.Obj
-          [
-            ("boxed_objs_per_s", Json.Float m.mb_boxed_sig);
-            ("bitset_objs_per_s", Json.Float m.mb_bitset_sig);
-            ("speedup", Json.Float m.mb_sig_speedup);
-          ] );
-      ( "certify",
-        Json.Obj
-          [
-            ("rows", Json.Int m.mb_certify_rows);
-            ("rows_per_s", Json.Float m.mb_certify_rows_per_s);
-          ] );
-    ]
-
-type parallel = {
-  jobs : int;
-  grid_points : int;
-  seq_s : float;
-  par_s : float;
-  speedup : float;
-}
-
-let parallel_to_json p =
-  Json.Obj
-    [
-      ("jobs", Json.Int p.jobs);
-      ("grid_points", Json.Int p.grid_points);
-      ("seq_s", Json.Float p.seq_s);
-      ("par_s", Json.Float p.par_s);
-      ("speedup", Json.Float p.speedup);
-    ]
-
-(* The /6 addition: per-strategy latency quantiles from a telemetry-enabled
-   serve run — the histogram summary CI tracks across commits. *)
-let latency_to_json latency =
-  Json.Arr
-    (List.map
-       (fun (name, (s : Stats.summary)) ->
-         Json.Obj
-           [
-             ("name", Json.Str name);
-             ("count", Json.Int s.Stats.n);
-             ("p50_us", Json.Float s.Stats.p50_us);
-             ("p90_us", Json.Float s.Stats.p90_us);
-             ("p99_us", Json.Float s.Stats.p99_us);
-             ("max_us", Json.Float s.Stats.max_us);
-           ])
-       latency)
-
-(* The /7 addition: the AUTO-vs-fixed comparison — makespans, decision
-   counts and the estimator's rank-match rate from the mixed workload. *)
-let auto_sweep_to_json (a : Auto_sweep.outcome) =
-  Json.Obj
-    [
-      ("id", Json.Str a.Auto_sweep.id);
-      ("title", Json.Str a.Auto_sweep.title);
-      ("queries", Json.Int a.Auto_sweep.queries);
-      ("distinct", Json.Int a.Auto_sweep.distinct);
-      ("seed", Json.Int a.Auto_sweep.seed);
-      ("spacing_us", Json.Float a.Auto_sweep.spacing_us);
-      ( "fixed",
-        Json.Arr
-          (List.map
-             (fun (f : Auto_sweep.fixed_run) ->
-               Json.Obj
-                 [
-                   ( "strategy",
-                     Json.Str
-                       (Msdq_exec.Strategy.to_string f.Auto_sweep.f_strategy)
-                   );
-                   ("makespan_s", Json.Float f.Auto_sweep.f_makespan_s);
-                 ])
-             a.Auto_sweep.fixed) );
-      ("auto_makespan_s", Json.Float a.Auto_sweep.auto_makespan_s);
-      ( "decisions",
-        Json.Arr
-          (List.map
-             (fun (strategy, count) ->
-               Json.Obj
-                 [ ("strategy", Json.Str strategy); ("count", Json.Int count) ])
-             a.Auto_sweep.decisions) );
-      ("switches", Json.Int a.Auto_sweep.switches);
-      ("rank_matches", Json.Int a.Auto_sweep.rank_matches);
-      ("rank_match_rate", Json.Float a.Auto_sweep.rank_match_rate);
-    ]
-
-(* The /8 addition: the overload experiment — goodput, deadline-hit rate
-   and tail latency vs offered load per shed policy, plus the at-capacity
-   p99 the validator's tail bound is measured against. *)
-let overload_sweep_to_json (o : Overload_sweep.outcome) =
-  Json.Obj
-    [
-      ("id", Json.Str o.Overload_sweep.id);
-      ("title", Json.Str o.Overload_sweep.title);
-      ("seed", Json.Int o.Overload_sweep.seed);
-      ("queries", Json.Int o.Overload_sweep.queries);
-      ("queue_limit", Json.Int o.Overload_sweep.queue_limit);
-      ("solo_response_ms", Json.Float o.Overload_sweep.solo_response_ms);
-      ("deadline_ms", Json.Float o.Overload_sweep.deadline_ms);
-      ("cap_p99_ms", Json.Float o.Overload_sweep.cap_p99_ms);
-      ( "multipliers",
-        Json.Arr
-          (List.map
-             (fun m -> Json.Float m)
-             (Array.to_list o.Overload_sweep.multipliers)) );
-      ( "policies",
-        Json.Arr (List.map (fun p -> Json.Str p) o.Overload_sweep.policies) );
-      ( "points",
-        Json.Arr
-          (List.map
-             (fun (p : Overload_sweep.point) ->
-               Json.Obj
-                 [
-                   ("policy", Json.Str p.Overload_sweep.pt_policy);
-                   ("multiplier", Json.Float p.Overload_sweep.pt_multiplier);
-                   ("offered", Json.Int p.Overload_sweep.pt_offered);
-                   ("admitted", Json.Int p.Overload_sweep.pt_admitted);
-                   ("shed", Json.Int p.Overload_sweep.pt_shed);
-                   ("goodput_qps", Json.Float p.Overload_sweep.pt_goodput);
-                   ("deadline_hits", Json.Int p.Overload_sweep.pt_deadline_hits);
-                   ("hit_rate", Json.Float p.Overload_sweep.pt_hit_rate);
-                   ("p50_ms", Json.Float p.Overload_sweep.pt_p50_ms);
-                   ("p99_ms", Json.Float p.Overload_sweep.pt_p99_ms);
-                   ("demoted_rows", Json.Int p.Overload_sweep.pt_demoted_rows);
-                   ( "abandoned_checks",
-                     Json.Int p.Overload_sweep.pt_abandoned_checks );
-                 ])
-             o.Overload_sweep.points) );
-    ]
-
-let gray_sweep_to_json (g : Gray_sweep.outcome) =
-  Json.Obj
-    [
-      ("id", Json.Str g.Gray_sweep.id);
-      ("title", Json.Str g.Gray_sweep.title);
-      ("seed", Json.Int g.Gray_sweep.seed);
-      ("queries", Json.Int g.Gray_sweep.queries);
-      ("drop", Json.Float g.Gray_sweep.drop);
-      ("static_timeout_ms", Json.Float g.Gray_sweep.static_timeout_ms);
-      ("kinds", Json.Arr (List.map (fun k -> Json.Str k) g.Gray_sweep.kinds));
-      ( "severities",
-        Json.Arr (List.map (fun s -> Json.Str s) g.Gray_sweep.severities) );
-      ( "policies",
-        Json.Arr (List.map (fun p -> Json.Str p) g.Gray_sweep.policies) );
-      ( "points",
-        Json.Arr
-          (List.map
-             (fun (p : Gray_sweep.point) ->
-               Json.Obj
-                 [
-                   ("policy", Json.Str p.Gray_sweep.pt_policy);
-                   ("kind", Json.Str p.Gray_sweep.pt_kind);
-                   ("severity", Json.Str p.Gray_sweep.pt_severity);
-                   ("queries", Json.Int p.Gray_sweep.pt_queries);
-                   ("demoted_rows", Json.Int p.Gray_sweep.pt_demoted_rows);
-                   ( "abandoned_checks",
-                     Json.Int p.Gray_sweep.pt_abandoned_checks );
-                   ("mean_ms", Json.Float p.Gray_sweep.pt_mean_ms);
-                   ("p99_ms", Json.Float p.Gray_sweep.pt_p99_ms);
-                   ("gray_sites", Json.Int p.Gray_sweep.pt_gray_sites);
-                 ])
-             g.Gray_sweep.points) );
-    ]
-
-let bench_to_json ~generated_at ~seed ~parallel ~fault_sweep ~recovery_sweep
-    ~serve_sweep ~latency ~auto_sweep ~overload_sweep ~gray_sweep ~microbench
-    ~strategies ~wall =
-  Json.Obj
-    [
-      ("schema", Json.Str bench_schema);
-      ("generated_at", Json.Str generated_at);
-      ("seed", Json.Int seed);
-      ("parallel", parallel_to_json parallel);
-      ("fault_sweep", fault_sweep_to_json fault_sweep);
-      ("recovery_sweep", recovery_sweep_to_json recovery_sweep);
-      ("serve_sweep", serve_sweep_to_json serve_sweep);
-      ("latency", latency_to_json latency);
-      ("auto_sweep", auto_sweep_to_json auto_sweep);
-      ("overload_sweep", overload_sweep_to_json overload_sweep);
-      ("gray_sweep", gray_sweep_to_json gray_sweep);
-      ("microbench", microbench_to_json microbench);
-      ( "strategies",
-        Json.Arr
-          (List.map
-             (fun (name, total_s, response_s) ->
-               Json.Obj
-                 [
-                   ("name", Json.Str name);
-                   ("total_s", Json.Float total_s);
-                   ("response_s", Json.Float response_s);
-                 ])
-             strategies) );
-      ( "wall",
-        Json.Arr
-          (List.map
-             (fun (name, ns) ->
-               Json.Obj
-                 [ ("name", Json.Str name); ("ns_per_run", Json.Float ns) ])
-             wall) );
-    ]
-
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let require what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bench document: missing or ill-typed %s" what)
-
-let nonneg what v =
-  if Float.is_nan v || v < 0.0 then
-    Error (Printf.sprintf "bench document: %s must be a non-negative number" what)
-  else Ok ()
-
-(* The /2 additions: a seed and the parallel-sweep record. *)
-let validate_parallel j =
-  let* p = require "\"parallel\"" (Json.member "parallel" j) in
-  let* jobs =
-    require "parallel \"jobs\"" Option.(Json.member "jobs" p |> map Json.to_int |> join)
-  in
-  let* () =
-    if jobs >= 1 then Ok () else Error "bench document: parallel jobs must be >= 1"
-  in
-  let* points =
-    require "parallel \"grid_points\""
-      Option.(Json.member "grid_points" p |> map Json.to_int |> join)
-  in
-  let* () =
-    if points >= 0 then Ok ()
-    else Error "bench document: parallel grid_points must be >= 0"
-  in
-  let* () =
-    List.fold_left
-      (fun acc field ->
-        let* () = acc in
-        let* v =
-          require
-            (Printf.sprintf "parallel %S" field)
-            Option.(Json.member field p |> map Json.to_float |> join)
-        in
-        nonneg ("parallel " ^ field) v)
-      (Ok ())
-      [ "seq_s"; "par_s"; "speedup" ]
-  in
-  let* _ =
-    require "\"seed\"" Option.(Json.member "seed" j |> map Json.to_int |> join)
-  in
-  Ok ()
-
-(* The /3 addition: the fault-sweep section — availability levels and one
-   (responses, recalls) series per strategy plus the fail-stop baseline,
-   recalls inside [0, 1]. *)
-let validate_fault_sweep j =
-  let* fs = require "\"fault_sweep\"" (Json.member "fault_sweep" j) in
-  let* xs =
-    require "fault_sweep \"availabilities\""
-      Option.(Json.member "availabilities" fs |> map Json.to_list |> join)
-  in
-  let* () =
-    if xs = [] then Error "bench document: fault_sweep \"availabilities\" is empty"
-    else Ok ()
-  in
-  let* series =
-    require "fault_sweep \"series\""
-      Option.(Json.member "series" fs |> map Json.to_list |> join)
-  in
-  let* () =
-    if series = [] then Error "bench document: fault_sweep \"series\" is empty"
-    else Ok ()
-  in
-  List.fold_left
-    (fun acc ser ->
-      let* () = acc in
-      let* label =
-        require "fault_sweep series \"label\""
-          Option.(Json.member "label" ser |> map Json.to_str |> join)
-      in
-      let* arrays =
-        List.fold_left
-          (fun acc field ->
-            let* acc = acc in
-            let* a =
-              require
-                (Printf.sprintf "fault_sweep %s %S" label field)
-                Option.(Json.member field ser |> map Json.to_list |> join)
-            in
-            Ok (a :: acc))
-          (Ok []) [ "responses_s"; "recalls" ]
-      in
-      let* () =
-        List.fold_left
-          (fun acc a ->
-            let* () = acc in
-            if List.length a <> List.length xs then
-              Error
-                (Printf.sprintf
-                   "bench document: fault_sweep %s series length differs from \
-                    availabilities"
-                   label)
-            else Ok ())
-          (Ok ()) arrays
-      in
-      let recalls = List.filter_map Json.to_float (List.hd arrays) in
-      List.fold_left
-        (fun acc r ->
-          let* () = acc in
-          if Float.is_nan r || r < 0.0 || r > 1.0 then
-            Error
-              (Printf.sprintf
-                 "bench document: fault_sweep %s recall outside [0, 1]" label)
-          else Ok ())
-        (Ok ()) recalls)
-    (Ok ()) series
-
-(* The /4 addition: the recovery-sweep section — same shape as the fault
-   sweep plus a mean-demoted array per (strategy, recovery-mode) series. *)
-let validate_recovery_sweep j =
-  let* rs = require "\"recovery_sweep\"" (Json.member "recovery_sweep" j) in
-  let* xs =
-    require "recovery_sweep \"availabilities\""
-      Option.(Json.member "availabilities" rs |> map Json.to_list |> join)
-  in
-  let* () =
-    if xs = [] then
-      Error "bench document: recovery_sweep \"availabilities\" is empty"
-    else Ok ()
-  in
-  let* series =
-    require "recovery_sweep \"series\""
-      Option.(Json.member "series" rs |> map Json.to_list |> join)
-  in
-  let* () =
-    if series = [] then Error "bench document: recovery_sweep \"series\" is empty"
-    else Ok ()
-  in
-  List.fold_left
-    (fun acc ser ->
-      let* () = acc in
-      let* label =
-        require "recovery_sweep series \"label\""
-          Option.(Json.member "label" ser |> map Json.to_str |> join)
-      in
-      let* arrays =
-        List.fold_left
-          (fun acc field ->
-            let* acc = acc in
-            let* a =
-              require
-                (Printf.sprintf "recovery_sweep %s %S" label field)
-                Option.(Json.member field ser |> map Json.to_list |> join)
-            in
-            Ok ((field, a) :: acc))
-          (Ok [])
-          [ "responses_s"; "recalls"; "demoted" ]
-      in
-      let* () =
-        List.fold_left
-          (fun acc (field, a) ->
-            let* () = acc in
-            if List.length a <> List.length xs then
-              Error
-                (Printf.sprintf
-                   "bench document: recovery_sweep %s %s length differs from \
-                    availabilities"
-                   label field)
-            else Ok ())
-          (Ok ()) arrays
-      in
-      let recalls = List.filter_map Json.to_float (List.assoc "recalls" arrays) in
-      let* () =
-        List.fold_left
-          (fun acc r ->
-            let* () = acc in
-            if Float.is_nan r || r < 0.0 || r > 1.0 then
-              Error
-                (Printf.sprintf
-                   "bench document: recovery_sweep %s recall outside [0, 1]"
-                   label)
-            else Ok ())
-          (Ok ()) recalls
-      in
-      let demoted = List.filter_map Json.to_float (List.assoc "demoted" arrays) in
-      List.fold_left
-        (fun acc d ->
-          let* () = acc in
-          nonneg (Printf.sprintf "recovery_sweep %s demoted" label) d)
-        (Ok ()) demoted)
-    (Ok ()) series
-
-(* The /5 addition: the serve-sweep section — cache capacities and one
-   (throughputs, speedups, hits) series per (strategy, window) cell, all
-   non-negative. *)
-let validate_serve_sweep j =
-  let* ss = require "\"serve_sweep\"" (Json.member "serve_sweep" j) in
-  let* xs =
-    require "serve_sweep \"cache_kib\""
-      Option.(Json.member "cache_kib" ss |> map Json.to_list |> join)
-  in
-  let* () =
-    if xs = [] then Error "bench document: serve_sweep \"cache_kib\" is empty"
-    else Ok ()
-  in
-  let* series =
-    require "serve_sweep \"series\""
-      Option.(Json.member "series" ss |> map Json.to_list |> join)
-  in
-  let* () =
-    if series = [] then Error "bench document: serve_sweep \"series\" is empty"
-    else Ok ()
-  in
-  List.fold_left
-    (fun acc ser ->
-      let* () = acc in
-      let* label =
-        require "serve_sweep series \"label\""
-          Option.(Json.member "label" ser |> map Json.to_str |> join)
-      in
-      List.fold_left
-        (fun acc field ->
-          let* () = acc in
-          let* a =
-            require
-              (Printf.sprintf "serve_sweep %s %S" label field)
-              Option.(Json.member field ser |> map Json.to_list |> join)
-          in
-          let* () =
-            if List.length a <> List.length xs then
-              Error
-                (Printf.sprintf
-                   "bench document: serve_sweep %s %s length differs from \
-                    cache_kib"
-                   label field)
-            else Ok ()
-          in
-          List.fold_left
-            (fun acc v ->
-              let* () = acc in
-              nonneg (Printf.sprintf "serve_sweep %s %s" label field) v)
-            (Ok ())
-            (List.filter_map Json.to_float a))
-        (Ok ())
-        [ "throughputs"; "speedups"; "hits_per_query" ])
-    (Ok ()) series
-
-(* The /6 addition: the latency section — one quantile summary per
-   strategy from a telemetry-enabled serve run, all values non-negative
-   and ordered p50 <= p90 <= p99 <= max whenever any sample was taken. *)
-let validate_latency j =
-  let* lat =
-    require "\"latency\"" Option.(Json.member "latency" j |> map Json.to_list |> join)
-  in
-  let* () =
-    if lat = [] then Error "bench document: \"latency\" is empty" else Ok ()
-  in
-  List.fold_left
-    (fun acc entry ->
-      let* () = acc in
-      let* name =
-        require "latency \"name\""
-          Option.(Json.member "name" entry |> map Json.to_str |> join)
-      in
-      let* count =
-        require
-          (Printf.sprintf "latency %s \"count\"" name)
-          Option.(Json.member "count" entry |> map Json.to_int |> join)
-      in
-      let* () =
-        if count >= 0 then Ok ()
-        else Error (Printf.sprintf "bench document: latency %s count must be >= 0" name)
-      in
-      let* qs =
-        List.fold_left
-          (fun acc field ->
-            let* acc = acc in
-            let* v =
-              require
-                (Printf.sprintf "latency %s %S" name field)
-                Option.(Json.member field entry |> map Json.to_float |> join)
-            in
-            let* () = nonneg (Printf.sprintf "latency %s %s" name field) v in
-            Ok (v :: acc))
-          (Ok [])
-          [ "p50_us"; "p90_us"; "p99_us"; "max_us" ]
-      in
-      match List.rev qs with
-      | [ p50; p90; p99 ] | [ p50; p90; p99; _ ] ->
-          if count > 0 && not (p50 <= p90 && p90 <= p99) then
-            Error
-              (Printf.sprintf
-                 "bench document: latency %s quantiles must be non-decreasing"
-                 name)
-          else Ok ()
-      | _ -> Ok ())
-    (Ok ()) lat
-
-(* The /7 addition: the auto_sweep section. Beyond shape checks this
-   validator enforces the experiment's win condition — AUTO's makespan is
-   no worse than the best fixed strategy's (tiny relative epsilon for
-   float formatting round trips) and the estimator's rank-match rate is a
-   valid fraction — so a regressing optimizer fails [--check], not just a
-   human reading the numbers. *)
-let validate_auto_sweep j =
-  let* a = require "\"auto_sweep\"" (Json.member "auto_sweep" j) in
-  let* queries =
-    require "auto_sweep \"queries\""
-      Option.(Json.member "queries" a |> map Json.to_int |> join)
-  in
-  let* distinct =
-    require "auto_sweep \"distinct\""
-      Option.(Json.member "distinct" a |> map Json.to_int |> join)
-  in
-  let* () =
-    if queries > 0 && distinct > 0 then Ok ()
-    else Error "bench document: auto_sweep queries and distinct must be positive"
-  in
-  let* fixed =
-    require "auto_sweep \"fixed\""
-      Option.(Json.member "fixed" a |> map Json.to_list |> join)
-  in
-  let* () =
-    if fixed = [] then Error "bench document: auto_sweep \"fixed\" is empty"
-    else Ok ()
-  in
-  let* min_fixed =
-    List.fold_left
-      (fun acc entry ->
-        let* acc = acc in
-        let* name =
-          require "auto_sweep fixed \"strategy\""
-            Option.(Json.member "strategy" entry |> map Json.to_str |> join)
-        in
-        let* m =
-          require
-            (Printf.sprintf "auto_sweep %s \"makespan_s\"" name)
-            Option.(Json.member "makespan_s" entry |> map Json.to_float |> join)
-        in
-        let* () = nonneg (Printf.sprintf "auto_sweep %s makespan_s" name) m in
-        Ok (Float.min acc m))
-      (Ok Float.infinity) fixed
-  in
-  let* auto_makespan =
-    require "auto_sweep \"auto_makespan_s\""
-      Option.(Json.member "auto_makespan_s" a |> map Json.to_float |> join)
-  in
-  let* () = nonneg "auto_sweep auto_makespan_s" auto_makespan in
-  let* () =
-    if auto_makespan <= min_fixed *. (1.0 +. 1e-9) then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "bench document: auto_sweep regression — AUTO makespan %g s \
-            exceeds the best fixed strategy's %g s"
-           auto_makespan min_fixed)
-  in
-  let* decisions =
-    require "auto_sweep \"decisions\""
-      Option.(Json.member "decisions" a |> map Json.to_list |> join)
-  in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* name =
-          require "auto_sweep decision \"strategy\""
-            Option.(Json.member "strategy" entry |> map Json.to_str |> join)
-        in
-        let* count =
-          require
-            (Printf.sprintf "auto_sweep decision %s \"count\"" name)
-            Option.(Json.member "count" entry |> map Json.to_int |> join)
-        in
-        if count >= 0 then Ok ()
-        else
-          Error
-            (Printf.sprintf
-               "bench document: auto_sweep decision %s count must be >= 0" name))
-      (Ok ()) decisions
-  in
-  let* switches =
-    require "auto_sweep \"switches\""
-      Option.(Json.member "switches" a |> map Json.to_int |> join)
-  in
-  let* () =
-    if switches >= 0 then Ok ()
-    else Error "bench document: auto_sweep switches must be >= 0"
-  in
-  let* rate =
-    require "auto_sweep \"rank_match_rate\""
-      Option.(Json.member "rank_match_rate" a |> map Json.to_float |> join)
-  in
-  if Float.is_nan rate || rate < 0.0 || rate > 1.0 then
-    Error "bench document: auto_sweep rank_match_rate must be inside [0, 1]"
-  else Ok ()
-
-(* The /8 addition: the overload_sweep section. Beyond shape checks this
-   validator enforces the robustness win condition — the naive unbounded
-   baseline's p99 grows monotonically with offered load and blows past
-   twice the at-capacity p99, while every rejecting shed policy keeps the
-   p99 of admitted queries within that 2x bound at every overloaded
-   point. [degrade] admits everything and trades latency for it, so its
-   rows are reported but not bounded. A serving engine whose admission
-   control stops holding the tail fails [--check], not just a human
-   reading the table. *)
-let validate_overload_sweep j =
-  let* o = require "\"overload_sweep\"" (Json.member "overload_sweep" j) in
-  let* cap =
-    require "overload_sweep \"cap_p99_ms\""
-      Option.(Json.member "cap_p99_ms" o |> map Json.to_float |> join)
-  in
-  let* () =
-    if Float.is_nan cap || cap <= 0.0 then
-      Error "bench document: overload_sweep cap_p99_ms must be positive"
-    else Ok ()
-  in
-  let* points =
-    require "overload_sweep \"points\""
-      Option.(Json.member "points" o |> map Json.to_list |> join)
-  in
-  let* () =
-    if points = [] then Error "bench document: overload_sweep \"points\" is empty"
-    else Ok ()
-  in
-  let* parsed =
-    List.fold_left
-      (fun acc entry ->
-        let* acc = acc in
-        let* policy =
-          require "overload_sweep point \"policy\""
-            Option.(Json.member "policy" entry |> map Json.to_str |> join)
-        in
-        let* multiplier =
-          require
-            (Printf.sprintf "overload_sweep %s \"multiplier\"" policy)
-            Option.(Json.member "multiplier" entry |> map Json.to_float |> join)
-        in
-        let* p99 =
-          require
-            (Printf.sprintf "overload_sweep %s \"p99_ms\"" policy)
-            Option.(Json.member "p99_ms" entry |> map Json.to_float |> join)
-        in
-        let* () =
-          nonneg
-            (Printf.sprintf "overload_sweep %s x%g p99_ms" policy multiplier)
-            p99
-        in
-        let* admitted =
-          require
-            (Printf.sprintf "overload_sweep %s \"admitted\"" policy)
-            Option.(Json.member "admitted" entry |> map Json.to_int |> join)
-        in
-        let* shed =
-          require
-            (Printf.sprintf "overload_sweep %s \"shed\"" policy)
-            Option.(Json.member "shed" entry |> map Json.to_int |> join)
-        in
-        let* () =
-          if admitted >= 0 && shed >= 0 then Ok ()
-          else
-            Error
-              (Printf.sprintf
-                 "bench document: overload_sweep %s x%g admitted and shed must \
-                  be >= 0"
-                 policy multiplier)
-        in
-        Ok ((policy, multiplier, p99) :: acc))
-      (Ok []) points
-  in
-  let parsed = List.rev parsed in
-  let row policy =
-    List.sort
-      (fun (_, a, _) (_, b, _) -> Float.compare a b)
-      (List.filter (fun (p, _, _) -> String.equal p policy) parsed)
-  in
-  let naive = row "naive" in
-  let* () =
-    if naive = [] then
-      Error "bench document: overload_sweep has no \"naive\" baseline row"
-    else Ok ()
-  in
-  let* _ =
-    List.fold_left
-      (fun acc (_, m, p99) ->
-        let* prev = acc in
-        if p99 +. 1e-9 >= prev then Ok p99
-        else
-          Error
-            (Printf.sprintf
-               "bench document: overload_sweep naive p99 must grow with load \
-                but drops to %g ms at x%g"
-               p99 m))
-      (Ok 0.0) naive
-  in
-  let* () =
-    let _, _, worst = List.nth naive (List.length naive - 1) in
-    if worst > 2.0 *. cap then Ok ()
-    else
-      Error
-        (Printf.sprintf
-           "bench document: overload_sweep naive p99 %g ms never exceeds \
-            twice the at-capacity p99 %g ms — the sweep is not overloaded"
-           worst cap)
-  in
-  let bound = 2.0 *. cap *. (1.0 +. 1e-9) in
-  List.fold_left
-    (fun acc policy ->
-      let* () = acc in
-      List.fold_left
-        (fun acc (_, m, p99) ->
-          let* () = acc in
-          if m < 2.0 || p99 <= bound then Ok ()
-          else
-            Error
-              (Printf.sprintf
-                 "bench document: overload_sweep tail-bound regression — %s \
-                  p99 %g ms at x%g exceeds twice the at-capacity p99 %g ms"
-                 policy p99 m cap))
-        (Ok ()) (row policy))
-    (Ok ())
-    [ "reject-newest"; "reject-oldest" ]
-
-(* The /9 win condition. Leg fates are timeout-independent by
-   construction, so the adaptive arm must never demote more rows than the
-   static arm on the same cell; and on the slowdown cells — the gray
-   signature the adaptive timeouts are built to exploit — its mean
-   response must undercut the static arm's by the pinned margin. *)
-let validate_gray_sweep j =
-  let* g = require "\"gray_sweep\"" (Json.member "gray_sweep" j) in
-  let* points =
-    require "gray_sweep \"points\""
-      Option.(Json.member "points" g |> map Json.to_list |> join)
-  in
-  let* () =
-    if points = [] then Error "bench document: gray_sweep \"points\" is empty"
-    else Ok ()
-  in
-  let* parsed =
-    List.fold_left
-      (fun acc entry ->
-        let* acc = acc in
-        let* policy =
-          require "gray_sweep point \"policy\""
-            Option.(Json.member "policy" entry |> map Json.to_str |> join)
-        in
-        let* kind =
-          require "gray_sweep point \"kind\""
-            Option.(Json.member "kind" entry |> map Json.to_str |> join)
-        in
-        let* severity =
-          require "gray_sweep point \"severity\""
-            Option.(Json.member "severity" entry |> map Json.to_str |> join)
-        in
-        let* demoted =
-          require
-            (Printf.sprintf "gray_sweep %s/%s/%s \"demoted_rows\"" policy kind
-               severity)
-            Option.(Json.member "demoted_rows" entry |> map Json.to_int |> join)
-        in
-        let* mean_ms =
-          require
-            (Printf.sprintf "gray_sweep %s/%s/%s \"mean_ms\"" policy kind
-               severity)
-            Option.(Json.member "mean_ms" entry |> map Json.to_float |> join)
-        in
-        let* () =
-          nonneg
-            (Printf.sprintf "gray_sweep %s/%s/%s mean_ms" policy kind severity)
-            mean_ms
-        in
-        let* () =
-          if demoted >= 0 then Ok ()
-          else
-            Error
-              (Printf.sprintf
-                 "bench document: gray_sweep %s/%s/%s demoted_rows must be >= 0"
-                 policy kind severity)
-        in
-        Ok ((policy, kind, severity, demoted, mean_ms) :: acc))
-      (Ok []) points
-  in
-  let cell policy kind severity =
-    List.find_opt
-      (fun (p, k, s, _, _) ->
-        String.equal p policy && String.equal k kind && String.equal s severity)
-      parsed
-  in
-  let kinds = [ "slowdown"; "jitter"; "flap"; "oneway" ] in
-  let severities = [ "mild"; "severe" ] in
-  List.fold_left
-    (fun acc kind ->
-      let* () = acc in
-      List.fold_left
-        (fun acc severity ->
-          let* () = acc in
-          let* _, _, _, sd, sm =
-            require
-              (Printf.sprintf "gray_sweep static/%s/%s point" kind severity)
-              (cell "static" kind severity)
-          in
-          let* _, _, _, ad, am =
-            require
-              (Printf.sprintf "gray_sweep adaptive/%s/%s point" kind severity)
-              (cell "adaptive" kind severity)
-          in
-          let* () =
-            if ad <= sd then Ok ()
-            else
-              Error
-                (Printf.sprintf
-                   "bench document: gray_sweep soundness regression — \
-                    adaptive demotes %d rows on %s/%s where static demotes %d"
-                   ad kind severity sd)
-          in
-          if
-            String.equal kind "slowdown"
-            && am > sm *. (1.0 -. Gray_sweep.response_margin)
-          then
-            Error
-              (Printf.sprintf
-                 "bench document: gray_sweep win-condition regression — \
-                  adaptive mean %g ms on slowdown/%s is not %g%% under the \
-                  static %g ms"
-                 am severity
-                 (100.0 *. Gray_sweep.response_margin)
-                 sm)
-          else Ok ())
-        (Ok ()) severities)
-    (Ok ()) kinds
-
-(* The /10 addition: the columnar microbench section — positive throughputs
-   and internally consistent speedup ratios. The >= 5x acceptance bar on the
-   local-eval speedup is the bench gate's job (tools/bench_gate), not the
-   validator's: a document from a noisy machine is still well-formed. *)
-let validate_microbench j =
-  let* m = require "\"microbench\"" (Json.member "microbench" j) in
-  let* objects =
-    require "microbench \"objects\""
-      Option.(Json.member "objects" m |> map Json.to_int |> join)
-  in
-  let* () =
-    if objects >= 1 then Ok ()
-    else Error "bench document: microbench objects must be >= 1"
-  in
-  let positive section field =
-    let* sec =
-      require (Printf.sprintf "microbench %S" section) (Json.member section m)
-    in
-    let* v =
-      require
-        (Printf.sprintf "microbench %s %S" section field)
-        Option.(Json.member field sec |> map Json.to_float |> join)
-    in
-    if Float.is_nan v || v <= 0.0 then
-      Error
-        (Printf.sprintf "bench document: microbench %s %s must be positive"
-           section field)
-    else Ok ()
-  in
-  let* () = positive "local_eval" "boxed_objs_per_s" in
-  let* () = positive "local_eval" "columnar_objs_per_s" in
-  let* () = positive "local_eval" "speedup" in
-  let* () = positive "signature_filter" "boxed_objs_per_s" in
-  let* () = positive "signature_filter" "bitset_objs_per_s" in
-  let* () = positive "signature_filter" "speedup" in
-  let* () = positive "certify" "rows_per_s" in
-  let* c = require "microbench \"certify\"" (Json.member "certify" m) in
-  let* rows =
-    require "microbench certify \"rows\""
-      Option.(Json.member "rows" c |> map Json.to_int |> join)
-  in
-  if rows >= 1 then Ok ()
-  else Error "bench document: microbench certify rows must be >= 1"
-
-let validate_bench j =
-  let* schema = require "\"schema\"" Option.(Json.member "schema" j |> map Json.to_str |> join) in
-  let known =
-    [
-      bench_schema; bench_schema_v9; bench_schema_v8; bench_schema_v7;
-      bench_schema_v6; bench_schema_v5; bench_schema_v4; bench_schema_v3;
-      bench_schema_v2; bench_schema_v1;
-    ]
-  in
-  let* () =
-    if List.exists (String.equal schema) known then Ok ()
-    else
-      Error
-        (Printf.sprintf "bench document: schema %S, expected one of %s" schema
-           (String.concat ", " (List.map (Printf.sprintf "%S") known)))
-  in
-  (* versions are ordered: everything from the introducing version on
-     requires the section *)
-  let at_least v =
-    let rank s =
-      if String.equal s bench_schema_v1 then 1
-      else if String.equal s bench_schema_v2 then 2
-      else if String.equal s bench_schema_v3 then 3
-      else if String.equal s bench_schema_v4 then 4
-      else if String.equal s bench_schema_v5 then 5
-      else if String.equal s bench_schema_v6 then 6
-      else if String.equal s bench_schema_v7 then 7
-      else if String.equal s bench_schema_v8 then 8
-      else if String.equal s bench_schema_v9 then 9
-      else 10
-    in
-    rank schema >= v
-  in
-  let* () = if at_least 2 then validate_parallel j else Ok () in
-  let* () = if at_least 3 then validate_fault_sweep j else Ok () in
-  let* () = if at_least 4 then validate_recovery_sweep j else Ok () in
-  let* () = if at_least 5 then validate_serve_sweep j else Ok () in
-  let* () = if at_least 6 then validate_latency j else Ok () in
-  let* () = if at_least 7 then validate_auto_sweep j else Ok () in
-  let* () = if at_least 8 then validate_overload_sweep j else Ok () in
-  let* () = if at_least 9 then validate_gray_sweep j else Ok () in
-  let* () = if at_least 10 then validate_microbench j else Ok () in
-  let* _ =
-    require "\"generated_at\""
-      Option.(Json.member "generated_at" j |> map Json.to_str |> join)
-  in
-  let* entries =
-    require "\"strategies\"" Option.(Json.member "strategies" j |> map Json.to_list |> join)
-  in
-  let* () =
-    if entries = [] then Error "bench document: \"strategies\" is empty" else Ok ()
-  in
-  let* () =
-    List.fold_left
-      (fun acc entry ->
-        let* () = acc in
-        let* name =
-          require "strategy \"name\""
-            Option.(Json.member "name" entry |> map Json.to_str |> join)
-        in
-        let* total =
-          require (name ^ " \"total_s\"")
-            Option.(Json.member "total_s" entry |> map Json.to_float |> join)
-        in
-        let* response =
-          require (name ^ " \"response_s\"")
-            Option.(Json.member "response_s" entry |> map Json.to_float |> join)
-        in
-        let* () = nonneg (name ^ " total_s") total in
-        nonneg (name ^ " response_s") response)
-      (Ok ()) entries
-  in
-  let* wall =
-    require "\"wall\"" Option.(Json.member "wall" j |> map Json.to_list |> join)
-  in
-  List.fold_left
-    (fun acc entry ->
-      let* () = acc in
-      let* name =
-        require "wall \"name\""
-          Option.(Json.member "name" entry |> map Json.to_str |> join)
-      in
-      let* ns =
-        require (name ^ " \"ns_per_run\"")
-          Option.(Json.member "ns_per_run" entry |> map Json.to_float |> join)
-      in
-      nonneg (name ^ " ns_per_run") ns)
-    (Ok ()) wall
-
 (* ---- explain ---- *)
 
 (* Per-row provenance of an answer: what each maybe row is waiting on.

@@ -1,5 +1,5 @@
-(** Exportable run reports: JSON metrics, Chrome traces, utilization tables
-    and the bench result schema.
+(** Exportable run reports: JSON metrics, Chrome traces, utilization tables,
+    explain tables and figures. The bench result document is {!Bench}.
 
     Everything here is deterministic given its inputs (no clock reads), so
     the emitted bytes are stable and golden-testable. JSON goes through
@@ -50,160 +50,6 @@ val figure_to_json : Figures.figure -> Json.t
 
 val figures_to_json : Figures.figure list -> Json.t
 (** The [msdq experiment --json] document. *)
-
-val fault_sweep_to_json : Fault_sweep.sweep -> Json.t
-(** The [msdq experiment --fault-sweep --json] document: availability
-    levels plus one (responses, recalls) series per strategy and the
-    fail-stop baseline. *)
-
-val recovery_sweep_to_json : Fault_sweep.recovery_sweep -> Json.t
-(** The [msdq experiment --recovery-sweep --json] document: availability
-    levels plus one (responses, recalls, demoted) series per
-    (strategy, recovery-mode) cell. *)
-
-val serve_sweep_to_json : Serve_sweep.sweep -> Json.t
-(** The [msdq serve --sweep --json] document: cache capacities plus one
-    (throughputs, speedups, hits) series per (strategy, window) cell. *)
-
-val auto_sweep_to_json : Auto_sweep.outcome -> Json.t
-(** The [msdq experiment --auto-sweep --json] document: fixed-strategy
-    makespans, AUTO's makespan, per-strategy decision counts, breaker
-    switches and the estimator's rank-match rate. *)
-
-val overload_sweep_to_json : Overload_sweep.outcome -> Json.t
-(** The [msdq experiment --overload-sweep --json] document: calibration
-    (solo response, deadline budget, queue depth), the load grid and one
-    point per (policy, multiplier) cell — admitted/shed counts, goodput,
-    deadline-hit rate, p50/p99 of admitted latency, demoted rows and
-    abandoned checks — plus the at-capacity p99 the validator's tail
-    bound is measured against. *)
-
-val gray_sweep_to_json : Gray_sweep.outcome -> Json.t
-(** The [msdq experiment --gray-sweep --json] document: the
-    (policy x kind x severity) grid of the gray-failure tolerance sweep —
-    demoted rows, abandoned checks, mean/p99 latency and gray-site count
-    per cell — plus the shared baseline drop and the static arm's fixed
-    timeout. *)
-
-(** {2 Bench results} *)
-
-val bench_schema : string
-(** ["msdq-bench/10"] — the schema every new document is written with. *)
-
-val bench_schema_v9 : string
-(** ["msdq-bench/9"] — still accepted by {!validate_bench}. *)
-
-val bench_schema_v8 : string
-(** ["msdq-bench/8"] — still accepted by {!validate_bench}. *)
-
-val bench_schema_v7 : string
-(** ["msdq-bench/7"] — still accepted by {!validate_bench}. *)
-
-val bench_schema_v6 : string
-(** ["msdq-bench/6"] — still accepted by {!validate_bench}. *)
-
-val bench_schema_v5 : string
-(** ["msdq-bench/5"] — still accepted by {!validate_bench}. *)
-
-val bench_schema_v4 : string
-(** ["msdq-bench/4"] — still accepted by {!validate_bench}. *)
-
-val bench_schema_v3 : string
-(** ["msdq-bench/3"] — still accepted by {!validate_bench}. *)
-
-val bench_schema_v2 : string
-(** ["msdq-bench/2"] — still accepted by {!validate_bench}. *)
-
-val bench_schema_v1 : string
-(** ["msdq-bench/1"] — still accepted by {!validate_bench}, so the perf
-    trajectory accumulated by CI stays checkable across the bumps. *)
-
-type parallel = {
-  jobs : int;  (** worker domains incl. the caller ([--jobs]) *)
-  grid_points : int;  (** grid points in the timed calibration sweep *)
-  seq_s : float;  (** wall-clock of the calibration sweep at [--jobs 1] *)
-  par_s : float;  (** wall-clock of the same sweep on the pool *)
-  speedup : float;  (** [seq_s /. par_s] *)
-}
-(** The [/2] parallel section: how much the domain pool actually bought on
-    this machine, measured on a fixed calibration sweep whose output is
-    asserted identical between the two timed runs. *)
-
-type microbench = {
-  mb_objects : int;  (** extent rows in the evaluation arms *)
-  mb_boxed_eval : float;  (** objs/s, per-object [Predicate.eval] *)
-  mb_columnar_eval : float;  (** objs/s, [Extent.eval_attr] *)
-  mb_eval_speedup : float;  (** columnar / boxed *)
-  mb_boxed_sig : float;  (** objs/s, per-object [Signature.may_satisfy] *)
-  mb_bitset_sig : float;  (** objs/s, [Sigset.refuted_count] *)
-  mb_sig_speedup : float;  (** bitset / boxed *)
-  mb_certify_rows : int;  (** local rows fed to one [Certify.run] pass *)
-  mb_certify_rows_per_s : float;
-}
-(** The [/10] microbench section: columnar-engine throughput in objects/sec
-    for local predicate evaluation and signature filtering — each measured
-    in both representations, so the speedup ratios are same-process and
-    safe to gate on — plus end-to-end certification rows/sec.
-    docs/PERFORMANCE.md explains how to run and read it. *)
-
-val bench_to_json :
-  generated_at:string ->
-  seed:int ->
-  parallel:parallel ->
-  fault_sweep:Fault_sweep.sweep ->
-  recovery_sweep:Fault_sweep.recovery_sweep ->
-  serve_sweep:Serve_sweep.sweep ->
-  latency:(string * Msdq_simkit.Stats.summary) list ->
-  auto_sweep:Auto_sweep.outcome ->
-  overload_sweep:Overload_sweep.outcome ->
-  gray_sweep:Gray_sweep.outcome ->
-  microbench:microbench ->
-  strategies:(string * float * float) list ->
-  wall:(string * float) list ->
-  Json.t
-(** The [BENCH_<timestamp>.json] document. [strategies] carries one
-    [(name, total_s, response_s)] triple per simulated strategy run on the
-    demo workload; [wall] carries bechamel wall-clock medians as
-    [(benchmark, ns_per_run)]; [seed] is the run's base rng seed;
-    [fault_sweep] and [recovery_sweep] are the run's (possibly reduced)
-    robustness sweeps, [serve_sweep] its workload-engine sweep and
-    [latency] its per-strategy query-latency quantile summaries
-    ([(name, summary)], the [/6] histogram section), [auto_sweep] the
-    AUTO-vs-fixed comparison (the [/7] section), [overload_sweep] the
-    overload-robustness sweep (the [/8] section), [gray_sweep] the
-    gray-failure tolerance sweep (the [/9] section) and [microbench] the
-    columnar-engine throughput section (the [/10] section).
-    [generated_at] is injected (not read from the clock) so tests stay
-    deterministic. *)
-
-val validate_bench : Json.t -> (unit, string) result
-(** Structural validation of a bench document: used by the test suite and
-    the CI smoke step. Accepts {!bench_schema_v1} through {!bench_schema}
-    payloads; [seed]/[parallel] are required from [/2] on, the
-    [fault_sweep] section from [/3] on (non-empty availability grid,
-    equal-length series, recalls inside [0, 1]), the [recovery_sweep]
-    section from [/4] on (same shape plus a non-negative mean-demoted
-    array per series), the [serve_sweep] section from [/5] on (non-empty
-    cache grid, equal-length series, non-negative throughputs and
-    speedups), the [latency] section from [/6] on (non-empty, one
-    quantile summary per strategy, non-negative and non-decreasing
-    p50 <= p90 <= p99 whenever the count is positive) and the
-    [auto_sweep] section from [/7] on — which additionally enforces the
-    experiment's win condition: AUTO's makespan must not exceed the best
-    fixed strategy's, so an optimizer regression fails validation — and
-    the [overload_sweep] section from [/8] on, which enforces the
-    robustness win condition: the naive baseline's p99 grows
-    monotonically and blows past twice the at-capacity p99 while every
-    rejecting shed policy keeps admitted p99 within that bound at every
-    overloaded point ([degrade] is reported but not bounded) — and the
-    [gray_sweep] section from [/9] on, which enforces the gray win
-    condition: on every (kind, severity) cell the adaptive arm demotes no
-    more rows than the static arm, and on the slowdown cells its mean
-    response undercuts the static arm's by at least
-    {!Gray_sweep.response_margin} — and the [microbench] section from
-    [/10] on (positive throughputs and well-formed counts; the >= 5x
-    local-eval speedup bar lives in the bench gate, not here, so a noisy
-    machine still produces a structurally valid document). *)
 
 val pp_explain : Format.formatter -> Answer.t -> unit
 (** Per-row provenance table ([msdq query --explain]): every row's GOid and

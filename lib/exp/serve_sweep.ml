@@ -5,6 +5,8 @@ open Msdq_exec
 open Msdq_workload
 open Msdq_serve
 module Metrics = Msdq_obs.Metrics
+module Json = Msdq_obs.Json
+module S = Bench_section
 
 let log_src = Logs.Src.create "msdq.exp.serve" ~doc:"workload-engine sweep"
 
@@ -205,3 +207,91 @@ let run ?pool ?registry ?progress ?(samples = 4) ?(queries = 6) ?(seed = 1996)
 
 let series_of sweep label =
   List.find (fun s -> String.equal s.label label) sweep.series
+
+(* ---- reports ---- *)
+
+let to_json s =
+  let floats a = Json.Arr (Array.to_list (Array.map (fun x -> Json.Float x) a)) in
+  Json.Obj
+    [
+      ("id", Json.Str s.id);
+      ("title", Json.Str s.title);
+      ("xlabel", Json.Str s.xlabel);
+      ("cache_kib", floats s.xs);
+      ("windows_us", floats s.windows_us);
+      ("queries", Json.Int s.queries);
+      ("samples", Json.Int s.samples);
+      ("seed", Json.Int s.seed);
+      ( "series",
+        Json.Arr
+          (List.map
+             (fun ser ->
+               Json.Obj
+                 [
+                   ("label", Json.Str ser.label);
+                   ("strategy", Json.Str ser.strategy);
+                   ("window_us", Json.Float ser.window_us);
+                   ("throughputs", floats ser.throughputs);
+                   ("speedups", floats ser.speedups);
+                   ("hits_per_query", floats ser.hits);
+                 ])
+             s.series) );
+    ]
+
+let pp ppf sweep =
+  Format.fprintf ppf
+    "@[<v>%s — %s@,\
+     (%d queries per workload, %d samples, seed %d; speedup = cold/warm \
+     makespan)@,@,"
+    sweep.id sweep.title sweep.queries sweep.samples sweep.seed;
+  Format.fprintf ppf "%-18s" sweep.xlabel;
+  Array.iter
+    (fun kib -> Format.fprintf ppf " %10s" (Printf.sprintf "%gKiB" kib))
+    sweep.xs;
+  Format.fprintf ppf "@,";
+  List.iter
+    (fun ser ->
+      Format.fprintf ppf "%-18s" (ser.label ^ " q/s");
+      Array.iter (fun t -> Format.fprintf ppf " %10.2f" t) ser.throughputs;
+      Format.fprintf ppf "@,%-18s" (ser.label ^ " speedup");
+      Array.iter (fun s -> Format.fprintf ppf " %10.3f" s) ser.speedups;
+      Format.fprintf ppf "@,")
+    sweep.series;
+  Format.fprintf ppf "@]"
+
+(* ---- bench section ---- *)
+
+(* Non-negative, equal-length series over a non-empty cache grid; warm
+   caches must not end slower than the cold-cache starting point. *)
+let check c =
+  let n = List.length (S.floats c "cache_kib") in
+  if n = 0 then S.invalid (S.field c "cache_kib") "is empty";
+  List.iter
+    (fun ser ->
+      let arr k = S.floats ~range:S.Nonneg ~len:n ser k in
+      ignore (arr "throughputs");
+      ignore (arr "hits_per_query");
+      let speedups = arr "speedups" in
+      let first = List.hd speedups and last = List.nth speedups (n - 1) in
+      if last < first -. 1e-9 then
+        S.invalid ser "%s speedup fell from %.3f to %.3f across the cache sweep"
+          (S.str ser "label") first last)
+    (S.elements ~nonempty:true (S.field c "series"))
+
+let section =
+  {
+    S.key = "serve_sweep";
+    since = 5;
+    check;
+    bars = [];
+    guard = [ "seed"; "samples"; "queries" ];
+    metrics =
+      Some
+        (fun c ->
+          List.filter_map
+            (fun ser ->
+              match S.floats ser "throughputs" with
+              | [] -> None
+              | ts -> Some (S.Rate (S.str ser "label" ^ " mean throughput", S.mean ts)))
+            (S.elements (S.field c "series")));
+  }

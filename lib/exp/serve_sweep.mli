@@ -60,3 +60,14 @@ val run :
 
 val series_of : sweep -> string -> series
 (** Raises [Not_found] when the sweep has no series with that label. *)
+
+(** {1 Reports} *)
+
+val to_json : sweep -> Msdq_obs.Json.t
+(** The [serve_sweep] bench section, also [msdq serve --sweep --json]. *)
+
+val pp : Format.formatter -> sweep -> unit
+
+val section : Bench_section.t
+(** Its check also holds each series' last speedup at or above its
+    cold-cache start. *)

@@ -142,7 +142,7 @@ let test_figure_json () =
 
 let parallel_section =
   {
-    Run_report.jobs = 4;
+    Bench.jobs = 4;
     grid_points = 21;
     seq_s = 1.2;
     par_s = 0.4;
@@ -341,7 +341,7 @@ let gray_sweep_section =
 
 let microbench_section =
   {
-    Run_report.mb_objects = 20_000;
+    Bench.mb_objects = 20_000;
     mb_boxed_eval = 1.0e6;
     mb_columnar_eval = 1.2e7;
     mb_eval_speedup = 12.0;
@@ -352,9 +352,45 @@ let microbench_section =
     mb_certify_rows_per_s = 4.0e5;
   }
 
+(* A document from the fixtures above; each argument overrides one section. *)
+let bench_doc ?(parallel = parallel_section) ?(fault_sweep = fault_sweep_section)
+    ?(recovery_sweep = recovery_sweep_section) ?(serve_sweep = serve_sweep_section)
+    ?(latency = latency_section) ?(auto_sweep = auto_sweep_section)
+    ?(overload_sweep = overload_sweep_section) ?(gray_sweep = gray_sweep_section)
+    ?(microbench = microbench_section) ?(strategies = [ ("BL", 0.1, 0.05) ]) () =
+  Bench.to_json ~generated_at:"t" ~seed:1 ~parallel ~fault_sweep ~recovery_sweep
+    ~serve_sweep ~latency ~auto_sweep ~overload_sweep ~gray_sweep ~microbench
+    ~strategies ~wall:[]
+
+(* The committed baselines, oldest first. *)
+let results_dir = "../bench/results"
+
+let committed () =
+  Sys.readdir results_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".json")
+  |> List.sort compare
+  |> List.map (Filename.concat results_dir)
+
+let newest_committed () = List.nth (committed ()) (List.length (committed ()) - 1)
+
+let load_committed path =
+  match Bench.load path with
+  | Ok (_, doc) -> doc
+  | Error msg -> Alcotest.failf "committed baseline rejected: %s" msg
+
+(* [update path f j] applies [f] at [path]; a ["*"] step maps every element
+   of an array. *)
+let rec update path f j =
+  match (path, j) with
+  | [], _ -> f j
+  | "*" :: rest, Json.Arr l -> Json.Arr (List.map (update rest f) l)
+  | k :: rest, Json.Obj l ->
+      Json.Obj (List.map (fun (k', v) -> (k', if k = k' then update rest f v else v)) l)
+  | _ -> j
+
 let test_bench_validation () =
   let good =
-    Run_report.bench_to_json ~generated_at:"2026-01-01T00:00:00Z" ~seed:1996
+    Bench.to_json ~generated_at:"2026-01-01T00:00:00Z" ~seed:1996
       ~parallel:parallel_section ~fault_sweep:fault_sweep_section
       ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
       ~latency:latency_section ~auto_sweep:auto_sweep_section
@@ -363,15 +399,15 @@ let test_bench_validation () =
       ~strategies:[ ("BL", 0.1, 0.05) ]
       ~wall:[ ("msdq/parse-q1", 2500.0) ]
   in
-  (match Run_report.validate_bench good with
+  (match Bench.validate good with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "valid document rejected: %s" msg);
-  (* A /1 document (no seed, no parallel section) must stay valid: CI's
-     accumulated perf trajectory spans the schema bump. *)
+  (* /1 through /5 are no longer accepted: no committed document uses
+     them. *)
   let v1 =
     Json.Obj
       [
-        ("schema", Json.Str Run_report.bench_schema_v1);
+        ("schema", Json.Str "msdq-bench/1");
         ("generated_at", Json.Str "2026-01-01T00:00:00Z");
         ( "strategies",
           Json.Arr
@@ -386,10 +422,12 @@ let test_bench_validation () =
         ("wall", Json.Arr []);
       ]
   in
-  (match Run_report.validate_bench v1 with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /1 document rejected: %s" msg);
-  (* Likewise a /2 document (no fault_sweep section). *)
+  let reject name j =
+    match Bench.validate j with
+    | Ok () -> Alcotest.failf "%s accepted" name
+    | Error _ -> ()
+  in
+  reject "/1 document" v1;
   let strategies_json =
     Json.Arr
       [
@@ -404,7 +442,7 @@ let test_bench_validation () =
   let v2 =
     Json.Obj
       [
-        ("schema", Json.Str Run_report.bench_schema_v2);
+        ("schema", Json.Str "msdq-bench/2");
         ("generated_at", Json.Str "2026-01-01T00:00:00Z");
         ("seed", Json.Int 1996);
         ("parallel", parallel_json);
@@ -412,14 +450,7 @@ let test_bench_validation () =
         ("wall", Json.Arr []);
       ]
   in
-  (match Run_report.validate_bench v2 with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /2 document rejected: %s" msg);
-  let reject name j =
-    match Run_report.validate_bench j with
-    | Ok () -> Alcotest.failf "%s accepted" name
-    | Error _ -> ()
-  in
+  reject "/2 document" v2;
   reject "empty object" (Json.Obj []);
   reject "wrong schema"
     (Json.Obj
@@ -432,26 +463,18 @@ let test_bench_validation () =
   reject "empty strategies"
     (Json.Obj
        [
-         ("schema", Json.Str Run_report.bench_schema);
+         ("schema", Json.Str Bench.schema);
          ("generated_at", Json.Str "t");
          ("strategies", Json.Arr []);
          ("wall", Json.Arr []);
        ]);
-  reject "negative time"
-    (Run_report.bench_to_json ~generated_at:"t" ~seed:1996
-       ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-       ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-       ~latency:latency_section ~auto_sweep:auto_sweep_section
-       ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-       ~strategies:[ ("BL", -1.0, 0.05) ]
-       ~wall:[]);
+  reject "negative time" (bench_doc ~strategies:[ ("BL", -1.0, 0.05) ] ());
   (* Newer schemas declared without their sections: the validator must
      demand them. *)
   reject "/2 without parallel"
     (Json.Obj
        [
-         ("schema", Json.Str Run_report.bench_schema_v2);
+         ("schema", Json.Str "msdq-bench/2");
          ("generated_at", Json.Str "t");
          ("seed", Json.Int 1);
          ("strategies", strategies_json);
@@ -460,7 +483,7 @@ let test_bench_validation () =
   reject "/3 without fault_sweep"
     (Json.Obj
        [
-         ("schema", Json.Str Run_report.bench_schema_v3);
+         ("schema", Json.Str "msdq-bench/3");
          ("generated_at", Json.Str "t");
          ("seed", Json.Int 1);
          ("parallel", parallel_json);
@@ -470,60 +493,54 @@ let test_bench_validation () =
   reject "/4 without recovery_sweep"
     (Json.Obj
        [
-         ("schema", Json.Str Run_report.bench_schema_v4);
+         ("schema", Json.Str "msdq-bench/4");
          ("generated_at", Json.Str "t");
          ("seed", Json.Int 1);
          ("parallel", parallel_json);
-         ("fault_sweep", Run_report.fault_sweep_to_json fault_sweep_section);
+         ("fault_sweep", Fault_sweep.to_json fault_sweep_section);
          ("strategies", strategies_json);
          ("wall", Json.Arr []);
        ]);
   reject "/5 without serve_sweep"
     (Json.Obj
        [
-         ("schema", Json.Str Run_report.bench_schema_v5);
+         ("schema", Json.Str "msdq-bench/5");
          ("generated_at", Json.Str "t");
          ("seed", Json.Int 1);
          ("parallel", parallel_json);
-         ("fault_sweep", Run_report.fault_sweep_to_json fault_sweep_section);
+         ("fault_sweep", Fault_sweep.to_json fault_sweep_section);
          ( "recovery_sweep",
-           Run_report.recovery_sweep_to_json recovery_sweep_section );
+           Fault_sweep.recovery_to_json recovery_sweep_section );
          ("strategies", strategies_json);
          ("wall", Json.Arr []);
        ]);
   reject "/6 without latency"
     (Json.Obj
        [
-         ("schema", Json.Str Run_report.bench_schema_v6);
+         ("schema", Json.Str "msdq-bench/6");
          ("generated_at", Json.Str "t");
          ("seed", Json.Int 1);
          ("parallel", parallel_json);
-         ("fault_sweep", Run_report.fault_sweep_to_json fault_sweep_section);
+         ("fault_sweep", Fault_sweep.to_json fault_sweep_section);
          ( "recovery_sweep",
-           Run_report.recovery_sweep_to_json recovery_sweep_section );
-         ("serve_sweep", Run_report.serve_sweep_to_json serve_sweep_section);
+           Fault_sweep.recovery_to_json recovery_sweep_section );
+         ("serve_sweep", Serve_sweep.to_json serve_sweep_section);
          ("strategies", strategies_json);
          ("wall", Json.Arr []);
        ]);
-  (* A /5 document without the latency section stays valid. *)
-  (match
-     Run_report.validate_bench
-       (Json.Obj
-          [
-            ("schema", Json.Str Run_report.bench_schema_v5);
-            ("generated_at", Json.Str "t");
-            ("seed", Json.Int 1);
-            ("parallel", parallel_json);
-            ("fault_sweep", Run_report.fault_sweep_to_json fault_sweep_section);
-            ( "recovery_sweep",
-              Run_report.recovery_sweep_to_json recovery_sweep_section );
-            ("serve_sweep", Run_report.serve_sweep_to_json serve_sweep_section);
-            ("strategies", strategies_json);
-            ("wall", Json.Arr []);
-          ])
-   with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "valid /5 document rejected: %s" msg);
+  reject "/5 document"
+    (Json.Obj
+       [
+         ("schema", Json.Str "msdq-bench/5");
+         ("generated_at", Json.Str "t");
+         ("seed", Json.Int 1);
+         ("parallel", parallel_json);
+         ("fault_sweep", Fault_sweep.to_json fault_sweep_section);
+         ("recovery_sweep", Fault_sweep.recovery_to_json recovery_sweep_section);
+         ("serve_sweep", Serve_sweep.to_json serve_sweep_section);
+         ("strategies", strategies_json);
+         ("wall", Json.Arr []);
+       ]);
   (* The /7 section: a /7 document must carry it, a /6 one need not. *)
   let obj_map f = function Json.Obj l -> Json.Obj (f l) | j -> j in
   let without key = obj_map (List.filter (fun (k, _) -> k <> key)) in
@@ -537,56 +554,30 @@ let test_bench_validation () =
      a /9 one need not. *)
   reject "/10 without microbench" (without "microbench" good);
   (match
-     Run_report.validate_bench
-       (with_schema Run_report.bench_schema_v9 (without "microbench" good))
+     Bench.validate
+       (with_schema "msdq-bench/9" (without "microbench" good))
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "valid /9 document rejected: %s" msg);
-  let with_microbench m =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:m
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
+  let with_microbench microbench = bench_doc ~microbench () in
   reject "non-positive microbench speedup"
     (with_microbench
-       { microbench_section with Run_report.mb_eval_speedup = 0.0 });
+       { microbench_section with Bench.mb_eval_speedup = 0.0 });
   reject "microbench without objects"
-    (with_microbench { microbench_section with Run_report.mb_objects = 0 });
+    (with_microbench { microbench_section with Bench.mb_objects = 0 });
   (match
-     Run_report.validate_bench
-       (with_schema Run_report.bench_schema_v6 (without "auto_sweep" good))
+     Bench.validate
+       (with_schema "msdq-bench/6" (without "auto_sweep" good))
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "valid /6 document rejected: %s" msg);
-  let with_parallel fields =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1 ~parallel:fields
-      ~fault_sweep:fault_sweep_section ~recovery_sweep:recovery_sweep_section
-      ~serve_sweep:serve_sweep_section ~latency:latency_section
-      ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
+  let with_parallel parallel = bench_doc ~parallel () in
   reject "parallel jobs < 1"
-    (with_parallel { parallel_section with Run_report.jobs = 0 });
+    (with_parallel { parallel_section with Bench.jobs = 0 });
   reject "negative speedup"
-    (with_parallel { parallel_section with Run_report.speedup = -2.0 });
+    (with_parallel { parallel_section with Bench.speedup = -2.0 });
   let with_sweep series =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section
-      ~fault_sweep:{ fault_sweep_section with Fault_sweep.series }
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
+    bench_doc ~fault_sweep:{ fault_sweep_section with Fault_sweep.series } ()
   in
   reject "empty fault_sweep series" (with_sweep []);
   reject "recall above 1"
@@ -596,15 +587,7 @@ let test_bench_validation () =
     (with_sweep
        [ { Fault_sweep.label = "BL"; responses = [| 0.1 |]; recalls = [| 1.0 |] } ]);
   let with_rsweep rseries =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:{ recovery_sweep_section with Fault_sweep.rseries }
-      ~serve_sweep:serve_sweep_section ~latency:latency_section
-      ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
+    bench_doc ~recovery_sweep:{ recovery_sweep_section with Fault_sweep.rseries } ()
   in
   reject "empty recovery_sweep series" (with_rsweep []);
   reject "recovery recall above 1"
@@ -638,15 +621,7 @@ let test_bench_validation () =
          };
        ]);
   let with_ssweep series =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section
-      ~serve_sweep:{ serve_sweep_section with Serve_sweep.series }
-      ~latency:latency_section ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
+    bench_doc ~serve_sweep:{ serve_sweep_section with Serve_sweep.series } ()
   in
   reject "empty serve_sweep series" (with_ssweep []);
   let sserie throughputs speedups hits =
@@ -665,16 +640,7 @@ let test_bench_validation () =
     (with_ssweep [ sserie [| 1.0; 1.0 |] [| 1.0; -0.5 |] [| 0.0; 0.0 |] ]);
   reject "serve series length mismatch"
     (with_ssweep [ sserie [| 1.0 |] [| 1.0 |] [| 0.0 |] ]);
-  let with_latency latency =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency ~auto_sweep:auto_sweep_section
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
+  let with_latency latency = bench_doc ~latency () in
   let summary n p50 p90 p99 =
     {
       Msdq_simkit.Stats.n;
@@ -692,24 +658,20 @@ let test_bench_validation () =
     (with_latency [ ("BL", summary 4 5.0 2.0 3.0) ]);
   (* An all-zero summary from an empty sample is fine. *)
   (match
-     Run_report.validate_bench (with_latency [ ("BL", summary 0 0.0 0.0 0.0) ])
+     Bench.validate (with_latency [ ("BL", summary 0 0.0 0.0 0.0) ])
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "empty-sample latency summary rejected: %s" msg);
-  let with_auto auto =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto
-      ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
+  let with_auto auto_sweep = bench_doc ~auto_sweep () in
   (* The win condition is enforced: AUTO slower than the best fixed
      strategy fails validation. *)
   reject "auto_sweep regression"
     (with_auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.26 });
+  (* A section is checked whenever it is present, even below the version
+     that made it required. *)
+  reject "/6 carrying a regressed auto_sweep"
+    (with_schema "msdq-bench/6"
+       (with_auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.26 }));
   reject "auto_sweep empty fixed"
     (with_auto { auto_sweep_section with Auto_sweep.fixed = [] });
   reject "auto_sweep rank rate above 1"
@@ -719,7 +681,7 @@ let test_bench_validation () =
   (* AUTO exactly matching the best fixed strategy passes (the tolerance
      admits ties). *)
   (match
-     Run_report.validate_bench
+     Bench.validate
        (with_auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.25 })
    with
   | Ok () -> ()
@@ -728,21 +690,12 @@ let test_bench_validation () =
      condition is enforced on the document, not just printed. *)
   reject "/8 without overload_sweep" (without "overload_sweep" good);
   (match
-     Run_report.validate_bench
-       (with_schema Run_report.bench_schema_v7 (without "overload_sweep" good))
+     Bench.validate
+       (with_schema "msdq-bench/7" (without "overload_sweep" good))
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "valid /7 document rejected: %s" msg);
-  let with_overload o =
-    Run_report.bench_to_json ~generated_at:"t" ~seed:1
-      ~parallel:parallel_section ~fault_sweep:fault_sweep_section
-      ~recovery_sweep:recovery_sweep_section ~serve_sweep:serve_sweep_section
-      ~latency:latency_section ~auto_sweep:auto_sweep_section ~overload_sweep:o
-      ~gray_sweep:gray_sweep_section
-      ~microbench:microbench_section
-      ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[]
-  in
+  let with_overload overload_sweep = bench_doc ~overload_sweep () in
   let set_p99 policy multiplier p99 o =
     {
       o with
@@ -770,12 +723,150 @@ let test_bench_validation () =
        { overload_sweep_section with Overload_sweep.cap_p99_ms = 0.0 });
   (* degrade admits everything and is reported but exempt from the tail
      bound. *)
-  match
-    Run_report.validate_bench
-      (with_overload (set_p99 "degrade" 3.0 500.0 overload_sweep_section))
-  with
+  (match
+     Bench.validate
+       (with_overload (set_p99 "degrade" 3.0 500.0 overload_sweep_section))
+   with
   | Ok () -> ()
-  | Error msg -> Alcotest.failf "degrade row wrongly held to the bound: %s" msg
+  | Error msg -> Alcotest.failf "degrade row wrongly held to the bound: %s" msg);
+  (* The /9 section: required at /9, and its win condition is enforced. *)
+  reject "/9 without gray_sweep"
+    (with_schema "msdq-bench/9" (without "gray_sweep" good));
+  let with_gray f =
+    let g = gray_sweep_section in
+    bench_doc ~gray_sweep:{ g with Gray_sweep.points = f g.Gray_sweep.points } ()
+  in
+  let set_cell policy kind severity f =
+    List.map (fun (p : Gray_sweep.point) ->
+        if
+          p.Gray_sweep.pt_policy = policy
+          && p.Gray_sweep.pt_kind = kind
+          && p.Gray_sweep.pt_severity = severity
+        then f p
+        else p)
+  in
+  reject "gray adaptive demotes more than static"
+    (with_gray
+       (set_cell Gray_sweep.adaptive_policy "jitter" "mild" (fun p ->
+            { p with Gray_sweep.pt_demoted_rows = 5 })));
+  (* static 20 ms, so the 5% margin asks for at most 19 ms *)
+  reject "gray slowdown margin missed"
+    (with_gray
+       (set_cell Gray_sweep.adaptive_policy "slowdown" "severe" (fun p ->
+            { p with Gray_sweep.pt_mean_ms = 19.5 })));
+  reject "gray arm missing"
+    (with_gray
+       (List.filter (fun (p : Gray_sweep.point) ->
+            not
+              (p.Gray_sweep.pt_policy = Gray_sweep.adaptive_policy
+              && p.Gray_sweep.pt_kind = "flap"))));
+  (* Non-numbers are rejected, not skipped: the newest committed baseline
+     with every fault_sweep recall a string, or every serve_sweep
+     throughput null. *)
+  let newest = load_committed (newest_committed ()) in
+  reject "string recalls"
+    (update
+       [ "fault_sweep"; "series"; "*"; "recalls"; "*" ]
+       (fun _ -> Json.Str "x")
+       newest);
+  reject "null throughputs"
+    (update
+       [ "serve_sweep"; "series"; "*"; "throughputs"; "*" ]
+       (fun _ -> Json.Null)
+       newest)
+
+(* The gate on committed baselines: each passes against itself, and each
+   check the gate runs trips on a doctored copy of the newest one. *)
+let test_bench_gate () =
+  let fails =
+    List.filter_map (function Bench_section.Fail s -> Some s | _ -> None)
+  in
+  List.iter
+    (fun path ->
+      match fails (Bench.gate ~tolerance:0.2 ~baseline:path ~fresh:path) with
+      | [] -> ()
+      | l -> Alcotest.failf "%s against itself: %s" path (String.concat "; " l))
+    (committed ());
+  let base = load_committed (newest_committed ()) in
+  let gate doc =
+    let path = Filename.temp_file "bench" ".json" in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc (Json.to_string doc));
+    let verdicts = Bench.gate ~tolerance:0.2 ~baseline:results_dir ~fresh:path in
+    Sys.remove path;
+    verdicts
+  in
+  let contains needle hay =
+    let n = String.length needle and h = String.length hay in
+    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  let trips name ~by doc =
+    if not (List.exists (contains by) (fails (gate doc))) then
+      Alcotest.failf "%s: no FAIL verdict mentions %S" name by
+  in
+  let where k v f j = if Json.member k j = Some v then f j else j in
+  let set k v = update [ k ] (fun _ -> v) in
+  trips "AUTO slower than the best fixed strategy" ~by:"exceeds the best fixed"
+    (update [ "auto_sweep"; "auto_makespan_s" ] (fun _ -> Json.Float 1e3) base);
+  trips "naive p99 never overloaded" ~by:"the sweep is not overloaded"
+    (update
+       [ "overload_sweep"; "points"; "*" ]
+       (where "policy"
+          (Json.Str Overload_sweep.naive_policy)
+          (set "p99_ms" (Json.Float 0.0)))
+       base);
+  trips "recall below fail-stop" ~by:"below fail-stop"
+    (update
+       [ "fault_sweep"; "series"; "*" ]
+       (where "label" (Json.Str "BL")
+          (update [ "recalls"; "*" ] (fun _ -> Json.Float 0.0)))
+       base);
+  trips "serve speedup ends below its start" ~by:"across the cache sweep"
+    (update
+       [ "serve_sweep"; "series"; "*"; "speedups" ]
+       (function
+         | Json.Arr l ->
+             Json.Arr (List.rev (Json.Float 0.5 :: List.tl (List.rev l)))
+         | j -> j)
+       base);
+  let slow_eval =
+    update [ "microbench"; "local_eval"; "speedup" ] (fun _ -> Json.Float 4.9) base
+  in
+  (match Bench.validate slow_eval with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "a 4.9x microbench must pass --check: %s" msg);
+  trips "local-eval microbench at 4.9x" ~by:"local_eval.speedup" slow_eval;
+  trips "strategies entry 21% slower" ~by:"strategies BL total_s"
+    (update [ "strategies"; "*" ]
+       (where "name" (Json.Str "BL")
+          (update [ "total_s" ] (function
+             | Json.Float t -> Json.Float (t *. 1.21)
+             | j -> j)))
+       base);
+  let reseeded = update [ "fault_sweep"; "seed" ] (fun _ -> Json.Int 7) base in
+  let verdicts = gate reseeded in
+  Alcotest.(check (list string)) "seed mismatch fails nothing" [] (fails verdicts);
+  Alcotest.(check bool) "seed mismatch is a skip" true
+    (List.exists
+       (function
+         | Bench_section.Skip s -> contains "fault_sweep: seed" s
+         | _ -> false)
+       verdicts);
+  (* A missing file is a readable error, never an exception. *)
+  let missing = Filename.concat results_dir "no-such-bench.json" in
+  (match Bench.load missing with
+  | Ok _ -> Alcotest.fail "a missing file loaded"
+  | Error msg ->
+      Alcotest.(check bool) "names the path" true (contains (missing ^ ": ") msg));
+  List.iter
+    (fun (name, baseline, fresh) ->
+      if fails (Bench.gate ~tolerance:0.2 ~baseline ~fresh) = [] then
+        Alcotest.failf "%s passed the gate" name)
+    [
+      ("missing fresh", results_dir, missing);
+      ("missing baseline", missing, newest_committed ());
+    ]
 
 let suite =
   [
@@ -785,6 +876,7 @@ let suite =
     Alcotest.test_case "utilization table" `Quick test_utilization_renders;
     Alcotest.test_case "figure json" `Quick test_figure_json;
     Alcotest.test_case "bench validation" `Quick test_bench_validation;
+    Alcotest.test_case "bench gate" `Quick test_bench_gate;
     Alcotest.test_case "Q1 goldens, all strategies" `Quick
       test_q1_goldens_all_strategies;
   ]
