@@ -36,4 +36,20 @@ let () =
       let sim_only = { m with Strategy.host_spans = [] } in
       write (stem ^ "_trace.json")
         (Json.to_string ~indent:2 (Run_report.chrome_trace [ sim_only ]) ^ "\n"))
-    Strategy.all
+    Strategy.all;
+  (* The parametric simulator's outputs: every figure at 20 draws per point,
+     as figure JSON and as CSV, and the planner's Q1 predictions (the
+     numbers behind msdq plan and AUTO), with %.17g so every bit shows. *)
+  let figs = Figures.all ~samples:20 ~seed:1996 () in
+  write "test/golden/figures_s20.json"
+    (Json.to_string ~indent:2 (Run_report.figures_to_json figs) ^ "\n");
+  List.iter
+    (fun fig -> write ("test/golden/" ^ fig.Figures.id ^ "_s20.csv") (Report.to_csv fig))
+    figs;
+  write "test/golden/planner_q1.txt"
+    (String.concat ""
+       (List.map
+          (fun (p : Msdq_opt.Planner.prediction) ->
+            Printf.sprintf "%s total %.17g response %.17g\n"
+              (Strategy.to_string p.strategy) p.total p.response)
+          (Msdq_opt.Planner.predict ~strategies:Strategy.all fed analysis)))

@@ -75,6 +75,41 @@ let test_csv () =
       && Testutil.contains ~needle:"PL response s" header)
   | [] -> Alcotest.fail "empty csv"
 
+(* The parametric simulator's numbers, pinned byte for byte: every figure
+   at 20 draws per point as figure JSON and CSV, and the planner's Q1
+   predictions under every strategy. A host-side change to Param_sim or the
+   engine must leave all of them unchanged; regenerate with
+   dune exec test/gen_golden.exe only when a figure number moves on purpose. *)
+let test_goldens () =
+  let read path =
+    In_channel.with_open_bin ("golden/" ^ path) In_channel.input_all
+  in
+  let figs = Figures.all ~samples:20 ~seed:1996 () in
+  Alcotest.(check string) "figure JSON bytes" (read "figures_s20.json")
+    (Msdq_obs.Json.to_string ~indent:2 (Run_report.figures_to_json figs) ^ "\n");
+  List.iter
+    (fun fig ->
+      let id = fig.Figures.id in
+      Alcotest.(check string) (id ^ " CSV bytes") (read (id ^ "_s20.csv"))
+        (Report.to_csv fig))
+    figs;
+  let fed = (Msdq_fed.Paper_example.build ()).Msdq_fed.Paper_example.federation in
+  let analysis =
+    Msdq_query.Analysis.analyze
+      (Msdq_fed.Global_schema.schema (Msdq_fed.Federation.global_schema fed))
+      (Msdq_query.Parser.parse Msdq_fed.Paper_example.q1)
+  in
+  let predictions =
+    Msdq_opt.Planner.predict ~strategies:Strategy.all fed analysis
+  in
+  Alcotest.(check string) "planner Q1 bytes" (read "planner_q1.txt")
+    (String.concat ""
+       (List.map
+          (fun (p : Msdq_opt.Planner.prediction) ->
+            Printf.sprintf "%s total %.17g response %.17g\n"
+              (Strategy.to_string p.strategy) p.total p.response)
+          predictions))
+
 let suite =
   [
     Alcotest.test_case "fig9 shapes" `Slow test_fig9;
@@ -85,4 +120,5 @@ let suite =
     Alcotest.test_case "figure structure" `Quick test_structure;
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
     Alcotest.test_case "csv rendering" `Quick test_csv;
+    Alcotest.test_case "figure, CSV and planner goldens" `Quick test_goldens;
   ]
