@@ -338,13 +338,12 @@ let complete t task =
     List.iter (fun f -> f outcome) (List.rev cbs));
   t.completing <- None
 
-let rec drain t =
-  match Heap.pop t.events with
-  | None -> ()
-  | Some (finish, task) ->
-    t.clock <- Time.max t.clock finish;
-    complete t task;
-    drain t
+let drain t =
+  while not (Heap.is_empty t.events) do
+    let task = Heap.pop t.events in
+    t.clock <- Time.max t.clock task.finish_time;
+    complete t task
+  done
 
 let where_to_string = function
   | Nowhere -> "fence"
