@@ -25,7 +25,7 @@ type figure = {
 let paper_strategies = [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 
 (* One sweep = a flat grid of (strategy, x) points, each an independent
-   [Param_sim.average] with its own engine, rng streams and (per run) metrics
+   [Param_sim.average] with its own graphs, rng streams and (per run) metrics
    instances. The grid evaluates either in index order (no pool) or on the
    pool's domains; either way the merge below walks the grid in index order,
    so series arrays, registry counters and therefore every downstream report

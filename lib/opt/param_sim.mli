@@ -8,8 +8,9 @@
     every phase (survivors after local predicates, maybe ratios, unsolved
     items, assistant fan-out from [R_iso] and [N_iso], check selectivities),
     builds the same task graph the concrete executor builds — same sites,
-    same resources, same dependencies — and runs it through the
-    discrete-event engine.
+    same resources, same dependencies — and runs it through the static DAG
+    runner {!Msdq_simkit.Dag}, which schedules exactly as the
+    discrete-event engine would.
 
     The estimation formulas are documented inline; DESIGN.md discusses how
     each maps to a Table 2 parameter. *)
@@ -36,7 +37,8 @@ val average :
   samples:int -> seed:int -> ranges:Params.ranges -> Msdq_exec.Strategy.t ->
   times
 (** Draws [samples] parameter sets (deterministically from [seed]) and
-    averages both metrics — the paper's 500-sample averaging.
+    averages both metrics — the paper's 500-sample averaging. Raises
+    [Invalid_argument] when [samples < 1].
 
     Sample [i] draws from its own stream, [Rng.split_ix (Rng.create ~seed) ~i],
     and the averages reduce in index order; with [?pool] the samples evaluate
