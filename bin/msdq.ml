@@ -316,8 +316,16 @@ let with_pool jobs f =
   Fun.protect ~finally:(fun () -> Option.iter Msdq_par.Pool.shutdown pool) (fun () ->
       f pool)
 
+(* Rejects a draw count below 1, which would average over nothing. *)
+let check_samples samples =
+  if samples < 1 then begin
+    Format.eprintf "--samples must be >= 1@.";
+    exit 1
+  end
+
 let experiment which fault_sweep recovery_sweep auto_sweep overload_sweep
     gray_sweep samples seed jobs drop inflate csv chart json progress =
+  check_samples samples;
   let registry = Msdq_obs.Metrics.create () in
   let progress =
     if progress then
@@ -746,6 +754,7 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
   let module Serve = Msdq_serve.Serve in
   let module Lru = Msdq_serve.Lru in
   if sweep then begin
+    check_samples samples;
     with_pool jobs @@ fun pool ->
     let sweep = Serve_sweep.run ?pool ~samples ~seed () in
     if json then

@@ -89,6 +89,20 @@ let test_average_deterministic () =
   Alcotest.(check (float 1e-9)) "deterministic average"
     (Time.to_us t1.Param_sim.total) (Time.to_us t2.Param_sim.total)
 
+(* Averaging over no draws is refused, naming the function. *)
+let test_average_rejects_no_samples () =
+  List.iter
+    (fun samples ->
+      Alcotest.check_raises
+        (Printf.sprintf "samples = %d" samples)
+        (Invalid_argument
+           (Printf.sprintf "Param_sim.average: samples must be >= 1 (got %d)" samples))
+        (fun () ->
+          ignore
+            (Param_sim.average ~cost:Cost.default ~samples ~seed:3
+               ~ranges:Params.default Strategy.Bl)))
+    [ 0; -3 ]
+
 let suite =
   [
     Alcotest.test_case "deterministic" `Quick test_deterministic;
@@ -98,4 +112,6 @@ let suite =
     Alcotest.test_case "monotone in objects" `Quick test_monotone_in_objects;
     Alcotest.test_case "selectivity override" `Quick test_selectivity_override;
     Alcotest.test_case "average deterministic" `Quick test_average_deterministic;
+    Alcotest.test_case "average rejects samples < 1" `Quick
+      test_average_rejects_no_samples;
   ]
