@@ -1,5 +1,5 @@
 (* Regenerates the golden files under test/golden/ from the current export
-   code. Run from the repository root after an intentional format change:
+   and execution code. Run from the repository root after an intentional format change:
 
      dune exec test/gen_golden.exe
 
@@ -53,3 +53,7 @@ let () =
             Printf.sprintf "%s total %.17g response %.17g\n"
               (Strategy.to_string p.strategy) p.total p.response)
           (Msdq_opt.Planner.predict ~strategies:Strategy.all fed analysis)))
+  ;
+  (* Every strategy's answers and metrics on the synthetic federation
+     (test/synth_golden.ml). *)
+  write "test/golden/synth_answers.txt" (Synth_golden.render ())

@@ -251,6 +251,16 @@ let test_metrics_render () =
   Alcotest.(check bool) "has breakdown entries" true
     (List.length m.Strategy.breakdown > 0)
 
+(* Every strategy's answers, simulated times and counters on the synthetic
+   federation (test/synth_golden.ml), byte for byte. Regenerate with
+   dune exec test/gen_golden.exe only when a number moves on purpose. *)
+let test_synth_golden () =
+  let want =
+    In_channel.with_open_bin "golden/synth_answers.txt" In_channel.input_all
+  in
+  Alcotest.(check string) "synthetic answers and metrics" want
+    (Synth_golden.render ())
+
 let suite =
   [
     Alcotest.test_case "all strategies answer Q1" `Quick test_all_strategies_q1;
@@ -266,4 +276,5 @@ let suite =
     Alcotest.test_case "strategy names" `Quick test_names;
     Alcotest.test_case "eager options validation" `Quick test_options_validation;
     Alcotest.test_case "metrics rendering" `Quick test_metrics_render;
+    Alcotest.test_case "synthetic golden" `Quick test_synth_golden;
   ]
