@@ -26,36 +26,36 @@ let run ?(multi_valued = false) ?(tracer = Tracer.disabled) fed
     + mstats.Materialize.ref_translations
   in
   let eval_meter = Meter.create () in
-  let targets = Array.of_list (List.map fst analysis.Analysis.targets) in
-  let atoms = Array.of_list analysis.Analysis.atoms in
-  let n_atoms = Array.length atoms in
+  let root = analysis.Analysis.range_class in
+  let targets =
+    Array.of_list
+      (List.map
+         (fun (path, _) -> Global_eval.resolve view ~root path)
+         analysis.Analysis.targets)
+  in
+  let preds =
+    Array.of_list (List.map (fun info -> info.Analysis.pred) analysis.Analysis.atoms)
+  in
+  let walks =
+    Array.map (fun (p : Predicate.t) -> Global_eval.resolve view ~root p.Predicate.path) preds
+  in
+  let where = Cond.index preds analysis.Analysis.query.Ast.where in
+  let truths = Array.make (Array.length preds) Truth.Unknown in
   let rows = ref [] in
   let eval_entity gobj =
-    let truths = Array.make n_atoms Truth.Unknown in
     Array.iteri
-      (fun i info ->
+      (fun i walk ->
         truths.(i) <-
           Global_eval.truth_of_outcome
-            (Global_eval.eval ~meter:eval_meter view gobj info.Analysis.pred))
-      atoms;
-    let truth =
-      Cond.eval
-        (fun pred ->
-          let rec find i =
-            if i >= n_atoms then Truth.Unknown
-            else if Predicate.equal atoms.(i).Analysis.pred pred then truths.(i)
-            else find (i + 1)
-          in
-          find 0)
-        analysis.Analysis.query.Ast.where
-    in
-    match truth with
+            (Global_eval.eval_resolved ~meter:eval_meter walk gobj preds.(i)))
+      walks;
+    match Cond.eval_indexed truths where with
     | Truth.False -> ()
     | (Truth.True | Truth.Unknown) as t ->
       let values =
         Array.to_list
           (Array.map
-             (fun path -> Global_eval.project ~meter:eval_meter view gobj path)
+             (fun walk -> Global_eval.project_resolved ~meter:eval_meter walk gobj)
              targets)
       in
       let status =
@@ -67,8 +67,7 @@ let run ?(multi_valued = false) ?(tracer = Tracer.disabled) fed
       rows := { Answer.goid = gobj.Materialize.goid; values; status } :: !rows
   in
   Tracer.with_span tracer ~cat:"eval" "ca.global-eval" (fun () ->
-      List.iter eval_entity
-        (Materialize.extent view analysis.Analysis.range_class));
+      List.iter eval_entity (Materialize.extent view root));
   let answer =
     Answer.make ~targets:(List.map fst analysis.Analysis.targets) (List.rev !rows)
   in

@@ -3,28 +3,24 @@ open Msdq_fed
 
 type entry = { e_sigs : Sigset.t; e_row : int }
 
-type t = { sigs : (string * int, entry) Hashtbl.t; mutable count : int }
+(* The signatures live in the extents; a lookup finds the object's extent
+   and row through its database's LOid-indexed arrays. *)
+type t = { dbs : (string * Database.t) list; count : int }
 
 let build fed =
-  let t = { sigs = Hashtbl.create 1024; count = 0 } in
-  List.iter
-    (fun (db_name, db) ->
-      List.iter
-        (fun cd ->
-          let ext = Database.extent_handle db cd.Schema.cname in
-          let sigs = Extent.signatures ext in
-          for row = 0 to Extent.size ext - 1 do
-            let obj = Extent.handle ext row in
-            Hashtbl.replace t.sigs
-              (db_name, Oid.Loid.to_int (Dbobject.loid obj))
-              { e_sigs = sigs; e_row = row };
-            t.count <- t.count + 1
-          done)
-        (Schema.classes (Database.schema db)))
-    (Federation.databases fed);
-  t
+  let dbs = Federation.databases fed in
+  {
+    dbs;
+    count = List.fold_left (fun acc (_, db) -> acc + Database.cardinality db) 0 dbs;
+  }
 
-let find t ~db loid = Hashtbl.find_opt t.sigs (db, Oid.Loid.to_int loid)
+let find t ~db loid =
+  match List.find_opt (fun (name, _) -> String.equal name db) t.dbs with
+  | None -> None
+  | Some (_, db) -> (
+    match Database.locate db loid with
+    | Some (ext, row) -> Some { e_sigs = Extent.signatures ext; e_row = row }
+    | None -> None)
 
 let may_satisfy e ~index ~op ~operand =
   Sigset.may_satisfy e.e_sigs ~row:e.e_row ~index ~op ~operand

@@ -7,9 +7,9 @@
 
     Since the columnar re-representation, signatures live packed inside
     each extent ({!Msdq_odb.Extent.signatures}); the catalog stores no
-    digests of its own — an entry is a reference into an extent's
-    {!Msdq_odb.Sigset.t} plus the object's row, so {!build} allocates one
-    small record per object instead of one digest array per object. *)
+    digests of its own. {!find} reads the object's extent and row through
+    its database's LOid-indexed arrays ({!Msdq_odb.Database.locate}), so
+    {!build} does no per-object work. *)
 
 open Msdq_odb
 open Msdq_fed

@@ -16,17 +16,15 @@ let create ~databases ~mapping ~keys =
 
 let databases t = t.databases
 
-let db t name =
-  match List.assoc_opt name t.databases with
-  | Some db -> db
-  | None -> raise Not_found
+(* Name lookups compare with [String.equal]: the polymorphic [List.assoc]
+   costs several times more per probe, and these run per request. *)
+let assoc name l = snd (List.find (fun (n, _) -> String.equal n name) l)
+
+let db t name = assoc name t.databases
 
 let db_names t = List.map fst t.databases
 
-let site_of t name =
-  match List.assoc_opt name t.sites with
-  | Some s -> s
-  | None -> raise Not_found
+let site_of t name = assoc name t.sites
 
 let db_at t site =
   List.find_map (fun (name, s) -> if s = site then Some name else None) t.sites

@@ -51,8 +51,7 @@ let rec fetch ?meter view gobj path =
                "Global_eval.fetch: referenced entity %s was not materialized"
                (Oid.Goid.to_string g)))))
 
-let eval ?meter view gobj (p : Predicate.t) =
-  match fetch ?meter view gobj p.Predicate.path with
+let outcome_of_fetched ?meter (p : Predicate.t) = function
   | Missing b -> Blocked b
   | Found v ->
     if Predicate.compare_op ?meter p.Predicate.op v p.Predicate.operand then
@@ -67,6 +66,97 @@ let eval ?meter view gobj (p : Predicate.t) =
         vs
     then Sat
     else Viol
+
+let eval ?meter view gobj (p : Predicate.t) =
+  outcome_of_fetched ?meter p (fetch ?meter view gobj p.Predicate.path)
+
+let project_of_fetched = function
+  | Found v -> v
+  | Found_set (v :: _) -> v
+  | Found_set [] | Missing _ -> Value.Null
+
+let project ?meter view gobj path =
+  project_of_fetched (fetch ?meter view gobj path)
+
+(* ---- Paths resolved to global slots ---- *)
+
+(* As [Msdq_odb.Slot_path] over the integrated view: each step caches the
+   global class it was resolved for and the attribute's slot there, and an
+   object of another class re-resolves the step by name. Only the root
+   class is known before the walk; the first entity resolves the rest. *)
+type gstep = {
+  name : string;
+  suffix : Path.t;
+  last : bool;
+  mutable gcls : string option;
+  mutable slot : int;  (* -1: the class does not define [name] *)
+}
+
+type resolved = { view : Materialize.t; gsteps : gstep array }
+
+let lookup view ~gcls ~attr =
+  match Materialize.attr_slot view ~gcls ~attr with Some i -> i | None -> -1
+
+let resolve view ~root path =
+  let rec go gcls = function
+    | [] -> []
+    | name :: rest as suffix ->
+      let slot =
+        match gcls with Some gcls -> lookup view ~gcls ~attr:name | None -> -1
+      in
+      { name; suffix; last = rest = []; gcls; slot } :: go None rest
+  in
+  { view; gsteps = Array.of_list (go (Some root) path) }
+
+let slot_for r st (gobj : Materialize.gobject) =
+  let gcls = gobj.Materialize.gcls in
+  match st.gcls with
+  | Some c when c == gcls || String.equal c gcls -> st.slot
+  | Some _ | None ->
+    let slot = lookup r.view ~gcls ~attr:st.name in
+    st.gcls <- Some gcls;
+    st.slot <- slot;
+    slot
+
+let fetch_resolved ?meter r gobj =
+  let n = Array.length r.gsteps in
+  if n = 0 then invalid_arg "Global_eval.fetch: empty path";
+  let rec go k (gobj : Materialize.gobject) =
+    let st = Array.unsafe_get r.gsteps k in
+    (match meter with Some m -> Meter.add_accesses m 1 | None -> ());
+    let slot = slot_for r st gobj in
+    if slot < 0 then
+      invalid_arg
+        (Printf.sprintf "Global_eval.fetch: %s has no attribute %s"
+           gobj.Materialize.gcls st.name);
+    let primitive () =
+      raise
+        (Value.Type_error
+           (Printf.sprintf "path traverses primitive attribute %s of %s"
+              st.name gobj.Materialize.gcls))
+    in
+    match gobj.Materialize.fields.(slot) with
+    | Materialize.Gnull -> Missing { at = gobj; rest = st.suffix }
+    | Materialize.Gprim v -> if st.last then Found v else primitive ()
+    | Materialize.Gset vs -> if st.last then Found_set vs else primitive ()
+    | Materialize.Gref g -> (
+      if st.last then Missing { at = gobj; rest = st.suffix }
+      else
+        match Materialize.find r.view g with
+        | Some next -> go (k + 1) next
+        | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Global_eval.fetch: referenced entity %s was not materialized"
+               (Oid.Goid.to_string g)))
+  in
+  go 0 gobj
+
+let eval_resolved ?meter r gobj p =
+  outcome_of_fetched ?meter p (fetch_resolved ?meter r gobj)
+
+let project_resolved ?meter r gobj =
+  project_of_fetched (fetch_resolved ?meter r gobj)
 
 let truth_of_outcome = function
   | Sat -> Truth.True
@@ -84,9 +174,3 @@ let eval_conjunction ?meter view gobj preds =
       | (Truth.True | Truth.Unknown) as t -> go t rest)
   in
   go Truth.True preds
-
-let project ?meter view gobj path =
-  match fetch ?meter view gobj path with
-  | Found v -> v
-  | Found_set (v :: _) -> v
-  | Found_set [] | Missing _ -> Value.Null

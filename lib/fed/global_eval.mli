@@ -42,3 +42,28 @@ val project :
     multi-valued attribute projects its first value. *)
 
 val truth_of_outcome : outcome -> Truth.t
+
+(** {2 Paths resolved to global slots}
+
+    A query's per-entity loop resolves each path once and walks entities
+    by slot, where {!fetch} probes a string-keyed table per step. The
+    resolved walk returns what {!fetch} returns on the same entity and
+    path, charges the same accesses and raises the same exceptions. *)
+
+type resolved
+
+val resolve : Materialize.t -> root:string -> Path.t -> resolved
+(** Resolves [path] from entities of global class [root]; never fails. *)
+
+val fetch_resolved :
+  ?meter:Meter.t -> resolved -> Materialize.gobject -> fetched
+(** [fetch_resolved (resolve view ~root path) gobj] is
+    [fetch view gobj path]. *)
+
+val eval_resolved :
+  ?meter:Meter.t -> resolved -> Materialize.gobject -> Predicate.t -> outcome
+(** As {!eval}; the predicate's path must be the resolved one. *)
+
+val project_resolved :
+  ?meter:Meter.t -> resolved -> Materialize.gobject -> Value.t
+(** As {!project}. *)

@@ -56,6 +56,12 @@ val extent : t -> string -> gobject list
 val field : t -> gobject -> string -> gvalue option
 (** [None] when the global class does not define the attribute. *)
 
+val attr_slot : t -> gcls:string -> attr:string -> int option
+(** The attribute's position in the [fields] of a materialized [gcls]
+    object; [None] when the class does not define it or was not
+    materialized. [field t o a] reads [o.fields] at
+    [attr_slot t ~gcls:o.gcls ~attr:a]. *)
+
 val stats : t -> stats
 
 val pp_gvalue : Format.formatter -> gvalue -> unit

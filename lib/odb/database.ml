@@ -1,11 +1,15 @@
 type t = {
   name : string;
   schema : Schema.t;
-  objects : Dbobject.t Oid.Loid.Table.t;
   (* Columnar per-class storage; insertion order is the row order. *)
   extents : (string, Extent.t) Hashtbl.t;
+  (* Indexed by LOid: [add] allocates LOids densely from 0 and nothing
+     deletes an object, so LOid [i] is slot [i] of each array. [homes] and
+     [rows] say where the object sits in its class extent. *)
+  mutable objs : Dbobject.t array;
+  mutable homes : Extent.t array;
+  mutable rows : int array;
   mutable next_loid : int;
-  mutable cardinality : int;
 }
 
 exception Integrity_error of string
@@ -19,23 +23,23 @@ let create ~name ~schema =
       Hashtbl.add extents cd.Schema.cname
         (Extent.create ~schema ~cls:cd.Schema.cname))
     (Schema.classes schema);
-  {
-    name;
-    schema;
-    objects = Oid.Loid.Table.create 256;
-    extents;
-    next_loid = 0;
-    cardinality = 0;
-  }
+  { name; schema; extents; objs = [||]; homes = [||]; rows = [||]; next_loid = 0 }
 
 let name t = t.name
 let schema t = t.schema
-let get t loid = Oid.Loid.Table.find_opt t.objects loid
+
+let get t loid =
+  let i = Oid.Loid.to_int loid in
+  if i >= 0 && i < t.next_loid then Some (Array.unsafe_get t.objs i) else None
 
 let get_exn t loid =
   match get t loid with
   | Some o -> o
   | None -> integrity "%s: no object with loid %s" t.name (Oid.Loid.to_string loid)
+
+let locate t loid =
+  let i = Oid.Loid.to_int loid in
+  if i >= 0 && i < t.next_loid then Some (t.homes.(i), t.rows.(i)) else None
 
 let deref t = function
   | Value.Ref l -> get t l
@@ -48,7 +52,7 @@ let extent_handle t cls =
 
 let extent t cls = Extent.to_list (extent_handle t cls)
 let extent_size t cls = Extent.size (extent_handle t cls)
-let cardinality t = t.cardinality
+let cardinality t = t.next_loid
 
 let check_field t ~cls ~attr v =
   (match v with
@@ -69,6 +73,22 @@ let check_field t ~cls ~attr v =
     integrity "%s: value %s does not match type of %s.%s" t.name
       (Value.to_string v) cls attr.Schema.aname
 
+(* Grows the LOid-indexed arrays to hold LOid [i]; [o] and [home] fill the
+   fresh slots until they are written. *)
+let reserve t i o home =
+  let cap = Array.length t.objs in
+  if i >= cap then begin
+    let cap = max 16 (2 * cap) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 t.next_loid;
+      b
+    in
+    t.objs <- grow t.objs o;
+    t.homes <- grow t.homes home;
+    t.rows <- grow t.rows 0
+  end
+
 let add t ~cls values =
   let cd =
     match Schema.find_class t.schema cls with
@@ -80,12 +100,19 @@ let add t ~cls values =
     integrity "%s: class %s expects %d fields, got %d" t.name cls arity
       (List.length values);
   List.iter2 (fun attr v -> check_field t ~cls ~attr v) cd.Schema.attrs values;
-  let loid = Oid.Loid.of_int t.next_loid in
-  t.next_loid <- t.next_loid + 1;
-  let o = Dbobject.make ~loid ~cls ~fields:(Array.of_list values) in
-  Oid.Loid.Table.add t.objects loid o;
-  ignore (Extent.append (extent_handle t cls) o);
-  t.cardinality <- t.cardinality + 1;
+  let i = t.next_loid in
+  (* The schema's own class name, so every object of a class shares one
+     string and class tests on hot paths hit physical equality. *)
+  let o =
+    Dbobject.make ~loid:(Oid.Loid.of_int i) ~cls:cd.Schema.cname
+      ~fields:(Array.of_list values)
+  in
+  let home = extent_handle t cls in
+  reserve t i o home;
+  t.objs.(i) <- o;
+  t.homes.(i) <- home;
+  t.rows.(i) <- Extent.append home o;
+  t.next_loid <- i + 1;
   o
 
 let field_by_name t o attr =
@@ -94,7 +121,7 @@ let field_by_name t o attr =
   | None -> None
 
 let pp ppf t =
-  Format.fprintf ppf "@[<v>database %s (%d objects)@," t.name t.cardinality;
+  Format.fprintf ppf "@[<v>database %s (%d objects)@," t.name t.next_loid;
   List.iter
     (fun cd ->
       let cls = cd.Schema.cname in

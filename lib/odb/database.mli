@@ -4,7 +4,11 @@
     through {!add}, which allocates the LOid, checks arity and types, and
     (for [Ref] fields) checks that the referenced object exists and belongs
     to the attribute's domain class — so a well-formed database never
-    contains dangling or ill-typed references. *)
+    contains dangling or ill-typed references.
+
+    LOids are allocated densely from 0 and no object is ever deleted, so
+    objects live in arrays indexed by LOid: {!get} and {!locate} are
+    bounds-checked array loads. *)
 
 type t
 
@@ -25,6 +29,11 @@ val get : t -> Oid.Loid.t -> Dbobject.t option
 
 val get_exn : t -> Oid.Loid.t -> Dbobject.t
 (** Raises {!Integrity_error} when absent. *)
+
+val locate : t -> Oid.Loid.t -> (Extent.t * int) option
+(** The object's class extent and its row there; [None] for an LOid the
+    database never allocated. A lookup is two array loads: LOids are dense
+    from 0 (see {!add}). *)
 
 val deref : t -> Value.t -> Dbobject.t option
 (** [deref db (Ref l)] follows a reference; [None] for any other value. *)

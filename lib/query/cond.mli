@@ -32,6 +32,19 @@ val is_conjunctive : t -> bool
 val eval : (Predicate.t -> Truth.t) -> t -> Truth.t
 (** Kleene evaluation with the given atom oracle. *)
 
+type indexed
+(** A tree whose atoms are positions in an atom array, for evaluating one
+    condition on many objects without comparing predicates per object. *)
+
+val index : Predicate.t array -> t -> indexed
+(** Each atom becomes the position of the first equal predicate in the
+    array; an atom absent from it is always [Unknown]. *)
+
+val eval_indexed : Truth.t array -> indexed -> Truth.t
+(** [eval_indexed truths (index atoms t)] is [eval oracle t] where
+    [oracle p] is [truths.(i)] for the first [i] with
+    [Predicate.equal atoms.(i) p], and [Unknown] when there is none. *)
+
 val map_atoms : (Predicate.t -> Predicate.t) -> t -> t
 
 val pp : Format.formatter -> t -> unit
