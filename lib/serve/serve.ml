@@ -615,14 +615,12 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
                 |> fun (w, h) -> (List.rev w, List.rev h)
             in
             verdict_hits := !verdict_hits + List.length hits;
-            (* Serve the shipped subset; the full set is additionally served
-               host-side to anchor the fault-free reference answer. *)
+            (* Serve the shipped subset; with the cache hits it makes the
+               full set that anchors the fault-free reference answer. With
+               no hit (a dead round trip, caching off or all misses) the
+               wire is every request already. *)
             let served_wire = Checks.serve ~tracer fed ~db:target wire in
-            let full =
-              if dead || hits = [] then
-                (Checks.serve ~tracer fed ~db:target reqs).Checks.verdicts
-              else hits @ served_wire.Checks.verdicts
-            in
+            let full = hits @ served_wire.Checks.verdicts in
             if (not dead) && caching then
               List.iter2
                 (fun (r : Checks.request) (v : Checks.verdict) ->
