@@ -771,6 +771,10 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
       Format.eprintf "--arrival must be a positive rate@.";
       exit 1
     end;
+    if flap_ms < 0.0 || not (Float.is_finite flap_ms) then begin
+      Format.eprintf "--flap-ms must be a finite period >= 0@.";
+      exit 1
+    end;
     if cache_mb < 0.0 || Float.is_nan cache_mb then begin
       Format.eprintf "--cache-mb must be >= 0@.";
       exit 1
@@ -1358,6 +1362,15 @@ let params_cmd =
 (* ---- generate ---- *)
 
 let generate seed n_db n_classes n_entities =
+  let at_least flag min v =
+    if v < min then begin
+      Format.eprintf "%s must be >= %d@." flag min;
+      exit 1
+    end
+  in
+  at_least "--databases" 1 n_db;
+  at_least "--classes" 1 n_classes;
+  at_least "--entities" 0 n_entities;
   let cfg =
     { Synth.default with Synth.seed; n_db; n_classes; n_entities }
   in

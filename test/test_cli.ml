@@ -1,6 +1,7 @@
 (* Argument checks of bin/msdq that run before any work: a draw count
    below 1 would average over nothing, so each command that takes
-   --samples refuses it with a readable message and exit code 1. *)
+   --samples refuses it with a readable message and exit code 1; so do
+   generate's sizes and serve's flapping period. *)
 
 let msdq_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/msdq.exe"
@@ -15,14 +16,12 @@ let run args =
   Sys.remove err;
   (rc, text)
 
-let rejects args () =
+let rejects ?(needle = "--samples must be >= 1") args () =
   let rc, err = run args in
   let cmd = String.concat " " args in
   Alcotest.(check int) (cmd ^ " exit code") 1 rc;
-  Alcotest.(check bool)
-    (cmd ^ " names --samples")
-    true
-    (Testutil.contains ~needle:"--samples must be >= 1" err)
+  Alcotest.(check bool) (cmd ^ " says " ^ needle) true
+    (Testutil.contains ~needle err)
 
 let suite =
   [
@@ -34,4 +33,15 @@ let suite =
       (rejects [ "experiment"; "fault-sweep"; "--samples"; "0" ]);
     Alcotest.test_case "serve --sweep rejects --samples 0" `Quick
       (rejects [ "serve"; "--sweep"; "--samples"; "0" ]);
+    Alcotest.test_case "generate rejects --databases 0" `Quick
+      (rejects ~needle:"--databases must be >= 1"
+         [ "generate"; "--databases"; "0" ]);
+    Alcotest.test_case "generate rejects --classes 0" `Quick
+      (rejects ~needle:"--classes must be >= 1" [ "generate"; "--classes"; "0" ]);
+    Alcotest.test_case "generate rejects --entities=-5" `Quick
+      (rejects ~needle:"--entities must be >= 0" [ "generate"; "--entities=-5" ]);
+    Alcotest.test_case "serve rejects --flap-ms=-1 and inf" `Quick (fun () ->
+        let needle = "--flap-ms must be a finite period >= 0" in
+        rejects ~needle [ "serve"; "--flap-ms=-1" ] ();
+        rejects ~needle [ "serve"; "--flap-ms=inf" ] ());
   ]
