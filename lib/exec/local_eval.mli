@@ -2,7 +2,10 @@
     (steps BL_C1 / PL_C2).
 
     Every atom of the (global) query is evaluated against each object of the
-    local root class with {!Msdq_odb.Predicate.eval}: predicates whose whole
+    local root class with {!Msdq_odb.Predicate.eval}'s semantics — a
+    one-step atom as a column ({!Msdq_odb.Extent.eval_attr}), any other
+    over attribute slots resolved once per call
+    ({!Msdq_odb.Slot_path}): predicates whose whole
     chain is defined locally get definite verdicts (or block on nulls);
     predicates hitting a schema-level missing attribute block exactly at the
     cut, which simultaneously performs the paper's "project the nested

@@ -65,6 +65,7 @@ val eval_attr :
     [None] means only the per-object walk reproduces the exact semantics
     (an ordering comparison against a column of a different type raises
     [Value.Type_error] at the first non-null row) — the caller falls back
-    to {!Predicate.eval} and nothing has been charged to the meter. On
+    to a per-object walk ({!Predicate.eval} or its slot-resolved form) and
+    nothing has been charged to the meter. On
     [Some], the meter is charged identically to the per-object walk: one
     access per row, one comparison per non-null row. *)
