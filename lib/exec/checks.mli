@@ -73,9 +73,6 @@ val serve :
     [db]. All requests must target [db]. [work] is measured on a private
     meter, so concurrent serves never mix counts. *)
 
-val verdict_key : verdict -> string * int * int
-(** [(origin_db, item loid, atom)] — the key certification joins on. *)
-
 val request_signature : request -> string
 (** The verdict-cache key used by the workload engine ([Msdq_serve]):
     [target_db], assistant LOid and the full relative predicate (path

@@ -3,6 +3,8 @@ open Msdq_fed
 
 let l = Oid.Loid.of_int
 
+let isomers_of t ?meter ~db loid = Goid_table.isomers_in t (Goid_table.local_map t ~db) ?meter loid
+
 let test_register_and_lookup () =
   let t = Goid_table.create () in
   let g1 = Goid_table.register t ~gcls:"Student" [ ("DB1", l 0); ("DB2", l 5) ] in
@@ -24,13 +26,13 @@ let test_isomers () =
   let _ =
     Goid_table.register t ~gcls:"T" [ ("A", l 0); ("B", l 1); ("C", l 2) ]
   in
-  let isomers = Goid_table.isomers_of t ~db:"A" (l 0) in
+  let isomers = isomers_of t ~db:"A" (l 0) in
   Alcotest.(check int) "two isomers" 2 (List.length isomers);
   Alcotest.(check bool) "self excluded" true
     (not (List.exists (fun (db, lo) -> db = "A" && Oid.Loid.equal lo (l 0)) isomers));
   Alcotest.(check (list string)) "isomer dbs" [ "B"; "C" ] (List.map fst isomers);
   Alcotest.(check int) "singleton has none" 0
-    (List.length (Goid_table.isomers_of t ~db:"Z" (l 9)))
+    (List.length (isomers_of t ~db:"Z" (l 9)))
 
 let test_duplicates () =
   let t = Goid_table.create () in
@@ -66,7 +68,7 @@ let test_lookup_counter () =
   let meter = Meter.create () in
   ignore (Goid_table.goid_of_local t ~meter ~db:"A" (l 0));
   ignore (Goid_table.locals_of t ~meter g);
-  ignore (Goid_table.isomers_of t ~meter ~db:"A" (l 0));
+  ignore (isomers_of t ~meter ~db:"A" (l 0));
   Alcotest.(check int) "three lookups" 3 (Meter.read meter).Meter.goid_lookups;
   (* lookups without a meter are not charged anywhere *)
   ignore (Goid_table.goid_of_local t ~db:"A" (l 0));
@@ -103,10 +105,10 @@ let test_paper_figure5 () =
   (* Haley (t3@DB1) is a singleton: no assistants anywhere. *)
   Alcotest.(check int) "Haley singleton" 0
     (List.length
-       (Goid_table.isomers_of table ~db:"DB1" (Dbobject.loid ex.Paper_example.t3)));
+       (isomers_of table ~db:"DB1" (Dbobject.loid ex.Paper_example.t3)));
   (* Kelly: t1'@DB2 and t2''@DB3. *)
   let isomers_kelly =
-    Goid_table.isomers_of table ~db:"DB2" (Dbobject.loid ex.Paper_example.t1')
+    isomers_of table ~db:"DB2" (Dbobject.loid ex.Paper_example.t1')
   in
   Alcotest.(check (list string)) "Kelly's assistant lives in DB3" [ "DB3" ]
     (List.map fst isomers_kelly)

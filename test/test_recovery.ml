@@ -185,10 +185,9 @@ let prop_duplicate_verdicts =
          racer already delivered) and shuffle the surplus in *)
       let rng = Rng.create ~seed in
       let dups = List.filter (fun _ -> Rng.float rng < 0.5) verdicts in
+      let key (v : Checks.verdict) = (v.origin_db, Oid.Loid.to_int v.item, v.atom) in
       let interleaved =
-        List.sort
-          (fun a b -> compare (Checks.verdict_key a) (Checks.verdict_key b))
-          (verdicts @ dups)
+        List.sort (fun a b -> compare (key a) (key b)) (verdicts @ dups)
       in
       let doubled =
         (Certify.run fed analysis ~results ~verdicts:(verdicts @ dups))
