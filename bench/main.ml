@@ -121,18 +121,7 @@ let concrete_validation () =
   let ordering_ok = ref true in
   List.iter
     (fun n_entities ->
-      let cfg =
-        {
-          Synth.default with
-          Synth.seed = 31;
-          n_entities;
-          p_host = 1.0;
-          p_attr_present = 0.75;
-          p_null = 0.12;
-          p_copy = 0.4;
-        }
-      in
-      let fed = Synth.generate cfg in
+      let fed = Synth.generate { Synth.dense with Synth.seed = 31; n_entities } in
       let results =
         List.filter_map
           (fun s ->
@@ -182,17 +171,7 @@ let planner_study () =
   let hits = ref 0 and total = ref 0 in
   List.iter
     (fun seed ->
-      let cfg =
-        {
-          Synth.default with
-          Synth.seed;
-          n_entities = 150;
-          p_host = 1.0;
-          p_attr_present = 0.75;
-          p_null = 0.12;
-        }
-      in
-      let fed = Synth.generate cfg in
+      let fed = Synth.generate { Synth.dense with Synth.seed; n_entities = 150 } in
       let analysis =
         Analysis.analyze (Global_schema.schema (Federation.global_schema fed))
           (Parser.parse query)
@@ -238,17 +217,7 @@ let straggler_study () =
   Format.printf "runs on a slow machine (factor 0.25). CA only scans and ships@.";
   Format.printf "there; the localized strategies also evaluate there, so the@.";
   Format.printf "straggler hurts their response time relatively more.@.@.";
-  let cfg =
-    {
-      Synth.default with
-      Synth.seed = 17;
-      n_entities = 300;
-      p_host = 1.0;
-      p_attr_present = 0.75;
-      p_null = 0.12;
-    }
-  in
-  let fed = Synth.generate cfg in
+  let fed = Synth.generate { Synth.dense with Synth.seed = 17; n_entities = 300 } in
   let analysis =
     Analysis.analyze (Global_schema.schema (Federation.global_schema fed))
       (Parser.parse "select X.key from K0 X where X.p0 = 2 and X.next.p1 = 1")
@@ -277,17 +246,7 @@ let straggler_study () =
 (* The federation and the four query shapes the throughput and latency
    studies stream. *)
 let stream_workload () =
-  let fed =
-    Synth.generate
-      {
-        Synth.default with
-        Synth.seed = 23;
-        n_entities = 200;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-      }
-  in
+  let fed = Synth.generate { Synth.dense with Synth.seed = 23; n_entities = 200 } in
   let schema = Global_schema.schema (Federation.global_schema fed) in
   ( fed,
     List.map

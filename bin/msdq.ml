@@ -30,6 +30,14 @@ let verbosity =
 (* Prepends log setup (-v / -vv / --verbosity) to a command's term. *)
 let with_logs term = Term.(const (fun () result -> result) $ verbosity $ term)
 
+(* Prints one line on stderr and exits 1: a refused argument or input. *)
+let fail fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "%s@." msg;
+      exit 1)
+    fmt
+
 let strategy_conv =
   let parse s =
     match Strategy.of_string s with
@@ -77,17 +85,63 @@ let deep_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let samples_arg =
-  Arg.(
-    value & opt int 500
-    & info [ "samples" ]
-        ~doc:"Parameter draws per configuration (the paper uses 500).")
+(* ---- flags several subcommands share ----
+
+   Each is defined once and takes the subcommand's own default and doc. *)
+
+let samples_arg ?docv default ~doc =
+  Arg.(value & opt int default & info [ "samples" ] ?docv ~doc)
+
+let jobs_arg ~doc = Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let trace_out_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+
+let synthetic_arg ~doc = Arg.(value & flag & info [ "synthetic" ] ~doc)
+
+(* The QUERY operand: required unless the subcommand has a [default]. *)
+let query_arg ?default ~doc () =
+  let arg = Arg.(pos 0 (some string) None & info [] ~docv:"QUERY" ~doc) in
+  match default with
+  | None -> Arg.required arg
+  | Some q -> Term.(const (Option.value ~default:q) $ Arg.value arg)
+
+(* The link-fault knobs, each checked here once: a drop probability
+   outside [0, 1] or an inflation below 1 or infinite is refused before
+   any work. Without a [default], an absent --drop is [None]. *)
+let drop_arg default ~doc =
+  let check = function
+    | Some p when not (p >= 0.0 && p <= 1.0) ->
+      fail "--drop must be a probability in [0, 1]"
+    | p -> p
+  in
+  Term.(
+    const check
+    $ Arg.(value & opt (some' float) default & info [ "drop" ] ~docv:"P" ~doc))
+
+let inflate_arg ~doc =
+  let check f =
+    if Float.is_finite f && f >= 1.0 then f
+    else fail "--inflate must be a finite factor >= 1"
+  in
+  Term.(
+    const check $ Arg.(value & opt float 1.0 & info [ "inflate" ] ~docv:"F" ~doc))
+
+(* A serve-style stream: [queries] jobs at [arrival] per simulated second. *)
+let queries_arg ~doc =
+  Arg.(value & opt int 8 & info [ "n"; "queries" ] ~docv:"N" ~doc)
+
+let arrival_arg ~doc =
+  Arg.(value & opt float 50.0 & info [ "arrival" ] ~docv:"RATE" ~doc)
+
+let check_stream ~queries ~arrival =
+  if queries < 1 then fail "--queries must be >= 1";
+  if arrival <= 0.0 || Float.is_nan arrival then
+    fail "--arrival must be a positive rate"
 
 let write_json path json =
   match open_out path with
-  | exception Sys_error msg ->
-    Fmt.epr "cannot write %s: %s@." path msg;
-    exit 1
+  | exception Sys_error msg -> fail "cannot write %s: %s" path msg
   | oc ->
     output_string oc (Msdq_obs.Json.to_string ~indent:2 json);
     output_char oc '\n';
@@ -142,24 +196,18 @@ let federation_of ~data ~synthetic ~seed =
   | Some path -> (
     match Loader.load_file path with
     | Ok fed -> fed
-    | Error msg ->
-      Format.eprintf "cannot load %s: %s@." path msg;
-      exit 1)
+    | Error msg -> fail "cannot load %s: %s" path msg)
   | None ->
     if synthetic then Synth.generate { Synth.default with Synth.seed }
     else (Paper_example.build ()).Paper_example.federation
 
 let analyze_or_exit fed src =
   match Parser.parse_result src with
-  | Error msg ->
-    Format.eprintf "parse error: %s@." msg;
-    exit 1
+  | Error msg -> fail "parse error: %s" msg
   | Ok ast -> (
     let schema = Global_schema.schema (Federation.global_schema fed) in
     match Analysis.analyze schema ast with
-    | exception Analysis.Error msg ->
-      Format.eprintf "analysis error: %s@." msg;
-      exit 1
+    | exception Analysis.Error msg -> fail "analysis error: %s" msg
     | analysis -> analysis)
 
 let json_arg =
@@ -168,12 +216,10 @@ let json_arg =
     & info [ "json" ]
         ~doc:"Emit a machine-readable JSON report on stdout instead of the               plain-text tables.")
 
-let trace_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-out" ] ~docv:"FILE"
-        ~doc:"Write a Chrome trace_event file of every run to FILE (open it               in chrome://tracing or Perfetto).")
+(* demo's and query's --trace-out *)
+let runs_trace_out_arg =
+  trace_out_arg
+    ~doc:"Write a Chrome trace_event file of every run to FILE (open it               in chrome://tracing or Perfetto)."
 
 let progress_arg =
   Arg.(
@@ -208,6 +254,14 @@ let critical_path_arg =
            waits sum to the response time, plus the dominant site, resource \
            and phase.")
 
+(* The telemetry store in [path], if that file exists. *)
+let load_store path =
+  if not (Sys.file_exists path) then None
+  else
+    match Msdq_telemetry.Store.load path with
+    | Ok s -> Some s
+    | Error msg -> fail "cannot load %s: %s" path msg
+
 let store_arg =
   Arg.(
     value
@@ -218,6 +272,9 @@ let store_arg =
            (check latency, drop rate, cache hit rate, demotions per \
            strategy) into FILE with exponential decay, creating it if \
            missing.")
+
+(* query's and plan's QUERY *)
+let sql_arg = query_arg ~doc:"SQL/X query string." ()
 
 (* ---- demo ---- *)
 
@@ -253,7 +310,7 @@ let demo_cmd =
         ret
           (const demo $ strategy_arg $ deep_arg $ multi_arg $ gantt_arg
          $ json_arg $ telemetry_arg $ explain_arg $ critical_path_arg
-         $ trace_out_arg))
+         $ runs_trace_out_arg))
   in
   Cmd.v (Cmd.info "demo" ~doc:"Run the paper's running example end to end.") term
 
@@ -275,17 +332,9 @@ let query strategy deep multi gantt json telemetry explain critical_path
   `Ok ()
 
 let query_cmd =
-  let sql =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"SQL/X query string.")
-  in
   let synthetic =
-    Arg.(
-      value & flag
-      & info [ "synthetic" ]
-          ~doc:"Query a generated synthetic federation instead of the paper demo.")
+    synthetic_arg
+      ~doc:"Query a generated synthetic federation instead of the paper demo."
   in
   let term =
     with_logs
@@ -293,7 +342,7 @@ let query_cmd =
         ret
           (const query $ strategy_arg $ deep_arg $ multi_arg $ gantt_arg
          $ json_arg $ telemetry_arg $ explain_arg $ critical_path_arg
-         $ trace_out_arg $ data_arg $ synthetic $ seed_arg $ sql))
+         $ runs_trace_out_arg $ data_arg $ synthetic $ seed_arg $ sql_arg))
   in
   Cmd.v
     (Cmd.info "query"
@@ -307,21 +356,14 @@ let with_pool jobs f =
   let jobs =
     if jobs = 0 then Domain.recommended_domain_count ()
     else if jobs >= 1 then jobs
-    else begin
-      Format.eprintf "--jobs must be >= 1 (or 0 for all cores)@.";
-      exit 1
-    end
+    else fail "--jobs must be >= 1 (or 0 for all cores)"
   in
   let pool = if jobs > 1 then Some (Msdq_par.Pool.create ~jobs ()) else None in
   Fun.protect ~finally:(fun () -> Option.iter Msdq_par.Pool.shutdown pool) (fun () ->
       f pool)
 
 (* Rejects a draw count below 1, which would average over nothing. *)
-let check_samples samples =
-  if samples < 1 then begin
-    Format.eprintf "--samples must be >= 1@.";
-    exit 1
-  end
+let check_samples samples = if samples < 1 then fail "--samples must be >= 1"
 
 let experiment which fault_sweep recovery_sweep auto_sweep overload_sweep
     gray_sweep samples seed jobs drop inflate csv chart json progress =
@@ -418,11 +460,10 @@ let experiment which fault_sweep recovery_sweep auto_sweep overload_sweep
       [ Figures.ablation_semijoin ?pool ~registry ?progress ~samples ~seed () ]
     | "all" -> Figures.all ?pool ~registry ?progress ~samples ~seed ()
     | other ->
-      Format.eprintf
+      fail
         "unknown experiment %S \
-         (fig9|fig10|fig11|ablation-signatures|ablation-checks|ablation-semijoin|fault-sweep|recovery-sweep|auto-sweep|overload-sweep|gray-sweep|all)@."
-        other;
-      exit 1
+         (fig9|fig10|fig11|ablation-signatures|ablation-checks|ablation-semijoin|fault-sweep|recovery-sweep|auto-sweep|overload-sweep|gray-sweep|all)"
+        other
   in
   List.iter
     (fun fig ->
@@ -528,22 +569,17 @@ let experiment_cmd =
              $(b,--samples) is ignored.")
   in
   let drop =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "drop" ] ~docv:"P"
-          ~doc:
-            "Loss probability of every site's incoming link in the sweeps \
-             (default 0.05 for $(b,--fault-sweep), 0.2 for \
-             $(b,--recovery-sweep)).")
+    drop_arg None
+      ~doc:
+        "Loss probability of every site's incoming link in the sweeps \
+         (default 0.05 for $(b,--fault-sweep), 0.2 for \
+         $(b,--recovery-sweep))."
   in
   let inflate =
-    Arg.(
-      value & opt float 1.0
-      & info [ "inflate" ] ~docv:"F"
-          ~doc:
-            "Latency inflation factor of every site's incoming link in the \
-             sweeps (default 1: no inflation).")
+    inflate_arg
+      ~doc:
+        "Latency inflation factor of every site's incoming link in the \
+         sweeps (default 1: no inflation)."
   in
   let csv =
     Arg.(
@@ -555,10 +591,11 @@ let experiment_cmd =
     Arg.(value & flag & info [ "chart" ] ~doc:"Print rough ASCII charts.")
   in
   let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Domain-pool size for the sweeps: 0 = all cores (the default),               1 = sequential. Results are identical for every setting.")
+    jobs_arg
+      ~doc:"Domain-pool size for the sweeps: 0 = all cores (the default),               1 = sequential. Results are identical for every setting."
+  in
+  let samples =
+    samples_arg 500 ~doc:"Parameter draws per configuration (the paper uses 500)."
   in
   let term =
     with_logs
@@ -566,7 +603,7 @@ let experiment_cmd =
         ret
           (const experiment $ which $ fault_sweep_flag $ recovery_sweep_flag
          $ auto_sweep_flag $ overload_sweep_flag $ gray_sweep_flag
-         $ samples_arg $ seed_arg $ jobs $ drop $ inflate $ csv $ chart
+         $ samples $ seed_arg $ jobs $ drop $ inflate $ csv $ chart
          $ json_arg $ progress_arg))
   in
   Cmd.v
@@ -575,6 +612,11 @@ let experiment_cmd =
     term
 
 (* ---- serve ---- *)
+
+(* serve's and metrics' QUERY *)
+let stream_query_arg =
+  query_arg ~default:Paper_example.q1
+    ~doc:"SQL/X query repeated by the stream. Default: the demo's Q1." ()
 
 let serve_outcome_to_json ~query cfg (out : Msdq_serve.Serve.outcome) =
   let module Serve = Msdq_serve.Serve in
@@ -750,7 +792,7 @@ let dashboard_frames (out : Msdq_serve.Serve.outcome) =
 
 let serve queries arrival cache_mb window_us deadline_ms queue_limit
     shed_policy strategy data synthetic seed sweep samples jobs drop inflate
-    flap_ms adaptive json dashboard store trace_out sql =
+    flap_ms adaptive json dashboard store trace_out src =
   let module Serve = Msdq_serve.Serve in
   let module Lru = Msdq_serve.Lru in
   if sweep then begin
@@ -763,31 +805,20 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
     `Ok ()
   end
   else begin
-    if queries < 1 then begin
-      Format.eprintf "--queries must be >= 1@.";
-      exit 1
-    end;
-    if arrival <= 0.0 || Float.is_nan arrival then begin
-      Format.eprintf "--arrival must be a positive rate@.";
-      exit 1
-    end;
-    if flap_ms < 0.0 || not (Float.is_finite flap_ms) then begin
-      Format.eprintf "--flap-ms must be a finite period >= 0@.";
-      exit 1
-    end;
-    if cache_mb < 0.0 || Float.is_nan cache_mb then begin
-      Format.eprintf "--cache-mb must be >= 0@.";
-      exit 1
-    end;
+    check_stream ~queries ~arrival;
+    if flap_ms < 0.0 || not (Float.is_finite flap_ms) then
+      fail "--flap-ms must be a finite period >= 0";
+    if cache_mb < 0.0 || Float.is_nan cache_mb then fail "--cache-mb must be >= 0";
+    (* the byte count must fit an int, or caching would silently turn off *)
+    let cache_bytes = cache_mb *. 1024.0 *. 1024.0 in
+    if not (cache_bytes < float_of_int max_int) then
+      fail "--cache-mb must be finite and below 2^42 MiB";
     (match deadline_ms with
     | Some d when Float.is_nan d || d <= 0.0 || not (Float.is_finite d) ->
-      Format.eprintf "--deadline must be a positive budget in milliseconds@.";
-      exit 1
+      fail "--deadline must be a positive budget in milliseconds"
     | _ -> ());
     (match queue_limit with
-    | Some q when q < 1 ->
-      Format.eprintf "--queue-limit must be >= 1@.";
-      exit 1
+    | Some q when q < 1 -> fail "--queue-limit must be >= 1"
     | _ -> ());
     let shed_policy =
       match shed_policy with
@@ -795,12 +826,10 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
       | Some name -> (
         match Serve.shed_policy_of_string name with
         | Ok p -> p
-        | Error msg ->
-          Format.eprintf "--shed-policy: %s@." msg;
-          exit 1)
+        | Error msg -> fail "--shed-policy: %s" msg)
     in
+    let drop = Option.value drop ~default:0.0 in
     let fed = federation_of ~data ~synthetic ~seed in
-    let src = match sql with Some s -> s | None -> Paper_example.q1 in
     let analysis = analyze_or_exit fed src in
     let inter_us = 1e6 /. arrival in
     let arrival_of i = Msdq_simkit.Time.us (float_of_int i *. inter_us) in
@@ -852,8 +881,7 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
     in
     let cfg =
       {
-        Serve.default_config with
-        Serve.cache_bytes = int_of_float (cache_mb *. 1024.0 *. 1024.0);
+        Serve.cache_bytes = int_of_float cache_bytes;
         window = Msdq_simkit.Time.us window_us;
         options =
           { Strategy.default_options with Strategy.telemetry; fault; retry };
@@ -874,24 +902,14 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
         | Strategy.Auto ->
           (* An existing --store file also feeds selection: observed
              per-strategy latencies blend into the model's estimates. *)
-          let sel_store =
-            match store with
-            | Some path when Sys.file_exists path -> (
-              match Msdq_telemetry.Store.load path with
-              | Ok s -> Some s
-              | Error msg ->
-                Format.eprintf "cannot load %s: %s@." path msg;
-                exit 1)
-            | _ -> None
-          in
           let a =
-            Serve.run_auto ?store:sel_store ~trace:(trace_out <> None) cfg fed
+            Serve.run_auto
+              ?store:(Option.bind store load_store)
+              ~trace:(trace_out <> None) cfg fed
               (List.init queries (fun i -> (analysis, arrival_of i)))
           in
           (a.Serve.auto, Some a)
-      with Invalid_argument msg ->
-        Format.eprintf "%s@." msg;
-        exit 1
+      with Invalid_argument msg -> fail "%s" msg
     in
     if json then begin
       let doc = serve_outcome_to_json ~query:src cfg out in
@@ -1021,18 +1039,12 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
       let fresh = Msdq_telemetry.Store.create () in
       Run_report.record_serve_stats ~store:fresh out;
       let merged =
-        if Sys.file_exists path then
-          match Msdq_telemetry.Store.load path with
-          | Ok old -> Msdq_telemetry.Store.merge old fresh
-          | Error msg ->
-            Format.eprintf "cannot load %s: %s@." path msg;
-            exit 1
-        else fresh
+        match load_store path with
+        | Some old -> Msdq_telemetry.Store.merge old fresh
+        | None -> fresh
       in
       (try Msdq_telemetry.Store.save merged path
-       with Sys_error msg ->
-         Format.eprintf "cannot write %s: %s@." path msg;
-         exit 1);
+       with Sys_error msg -> fail "cannot write %s: %s" path msg);
       if not json then
         Format.printf "@.telemetry store %s (%d runs):@.%a@." path
           (Msdq_telemetry.Store.runs merged)
@@ -1046,19 +1058,12 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
   end
 
 let serve_cmd =
-  let queries =
-    Arg.(
-      value & opt int 8
-      & info [ "n"; "queries" ] ~docv:"N"
-          ~doc:"Number of queries in the stream.")
-  in
+  let queries = queries_arg ~doc:"Number of queries in the stream." in
   let arrival =
-    Arg.(
-      value & opt float 50.0
-      & info [ "arrival" ] ~docv:"RATE"
-          ~doc:
-            "Arrival rate in queries per simulated second; the stream is \
-             evenly spaced at 1/RATE.")
+    arrival_arg
+      ~doc:
+        "Arrival rate in queries per simulated second; the stream is evenly \
+         spaced at 1/RATE."
   in
   let cache_mb =
     Arg.(
@@ -1135,52 +1140,35 @@ let serve_cmd =
              speedup. $(b,--samples) workloads per cell (default 4).")
   in
   let samples =
-    Arg.(
-      value & opt int 4
-      & info [ "samples" ] ~docv:"N"
-          ~doc:"Workload draws per sweep cell (with $(b,--sweep)).")
+    samples_arg ~docv:"N" 4
+      ~doc:"Workload draws per sweep cell (with $(b,--sweep))."
   in
   let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool size for $(b,--sweep): 0 = all cores (the default), \
-             1 = sequential. Results are identical for every setting.")
+    jobs_arg
+      ~doc:
+        "Domain-pool size for $(b,--sweep): 0 = all cores (the default), 1 = \
+         sequential. Results are identical for every setting."
   in
   let synthetic =
-    Arg.(
-      value & flag
-      & info [ "synthetic" ]
-          ~doc:
-            "Serve against a generated synthetic federation (pass QUERY \
-             explicitly; the demo query names demo classes).")
-  in
-  let sql =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY"
-          ~doc:"SQL/X query repeated by the stream. Default: the demo's Q1.")
+    synthetic_arg
+      ~doc:
+        "Serve against a generated synthetic federation (pass QUERY \
+         explicitly; the demo query names demo classes)."
   in
   let serve_drop =
-    Arg.(
-      value & opt float 0.0
-      & info [ "drop" ] ~docv:"P"
-          ~doc:
-            "Loss probability of every database site's incoming link \
-             (default 0: lossless). Dropped check legs retransmit after \
-             the retry timeout; see $(b,--adaptive).")
+    drop_arg (Some 0.0)
+      ~doc:
+        "Loss probability of every database site's incoming link (default \
+         0: lossless). Dropped check legs retransmit after the retry \
+         timeout; see $(b,--adaptive)."
   in
   let serve_inflate =
-    Arg.(
-      value & opt float 1.0
-      & info [ "inflate" ] ~docv:"F"
-          ~doc:
-            "Latency inflation factor of every database site's incoming \
-             link (default 1: no inflation). Factors at or beyond the \
-             gray-slowness ratio make delivered check legs count as slow \
-             for AUTO's gray-site detection.")
+    inflate_arg
+      ~doc:
+        "Latency inflation factor of every database site's incoming link \
+         (default 1: no inflation). Factors at or beyond the gray-slowness \
+         ratio make delivered check legs count as slow for AUTO's gray-site \
+         detection."
   in
   let serve_flap =
     Arg.(
@@ -1213,14 +1201,11 @@ let serve_cmd =
              (exact) frame is printed, so the flag is CI-safe.")
   in
   let serve_trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace_event file of the whole workload to FILE: \
-             every task and transfer carries its query's trace id, and flow \
-             events draw the causal edges across sites.")
+    trace_out_arg
+      ~doc:
+        "Write a Chrome trace_event file of the whole workload to FILE: every \
+         task and transfer carries its query's trace id, and flow events draw \
+         the causal edges across sites."
   in
   let term =
     with_logs
@@ -1230,7 +1215,7 @@ let serve_cmd =
          $ queue_limit $ shed_policy $ strategy $ data_arg $ synthetic
          $ seed_arg $ sweep_flag $ samples $ jobs $ serve_drop
          $ serve_inflate $ serve_flap $ serve_adaptive $ json_arg $ dashboard
-         $ store_arg $ serve_trace_out $ sql))
+         $ store_arg $ serve_trace_out $ stream_query_arg))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1245,17 +1230,9 @@ let serve_cmd =
 
 let metrics queries arrival strategy data synthetic seed store sql =
   let module Serve = Msdq_serve.Serve in
-  if queries < 1 then begin
-    Format.eprintf "--queries must be >= 1@.";
-    exit 1
-  end;
-  if arrival <= 0.0 || Float.is_nan arrival then begin
-    Format.eprintf "--arrival must be a positive rate@.";
-    exit 1
-  end;
+  check_stream ~queries ~arrival;
   let fed = federation_of ~data ~synthetic ~seed in
-  let src = match sql with Some s -> s | None -> Paper_example.q1 in
-  let analysis = analyze_or_exit fed src in
+  let analysis = analyze_or_exit fed sql in
   let inter_us = 1e6 /. arrival in
   let jobs_list =
     List.init queries (fun i ->
@@ -1273,10 +1250,7 @@ let metrics queries arrival strategy data synthetic seed store sql =
     }
   in
   let out =
-    try Serve.run cfg fed jobs_list
-    with Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
-      exit 1
+    try Serve.run cfg fed jobs_list with Invalid_argument msg -> fail "%s" msg
   in
   let fresh_store () =
     let s = Msdq_telemetry.Store.create () in
@@ -1284,31 +1258,20 @@ let metrics queries arrival strategy data synthetic seed store sql =
     s
   in
   let store =
-    match store with
-    | None -> None
-    | Some path when Sys.file_exists path -> (
-      match Msdq_telemetry.Store.load path with
-      | Ok old -> Some (Msdq_telemetry.Store.merge old (fresh_store ()))
-      | Error msg ->
-        Format.eprintf "cannot load %s: %s@." path msg;
-        exit 1)
-    | Some _ -> Some (fresh_store ())
+    Option.map
+      (fun path ->
+        match load_store path with
+        | Some old -> Msdq_telemetry.Store.merge old (fresh_store ())
+        | None -> fresh_store ())
+      store
   in
   print_string (Msdq_telemetry.Openmetrics.render ?store out.Serve.registry);
   `Ok ()
 
 let metrics_cmd =
-  let queries =
-    Arg.(
-      value & opt int 8
-      & info [ "n"; "queries" ] ~docv:"N"
-          ~doc:"Number of queries in the sampled workload.")
-  in
+  let queries = queries_arg ~doc:"Number of queries in the sampled workload." in
   let arrival =
-    Arg.(
-      value & opt float 50.0
-      & info [ "arrival" ] ~docv:"RATE"
-          ~doc:"Arrival rate in queries per simulated second.")
+    arrival_arg ~doc:"Arrival rate in queries per simulated second."
   in
   let strategy =
     Arg.(
@@ -1317,24 +1280,15 @@ let metrics_cmd =
           ~doc:"Strategy for every query in the stream. Default: BL.")
   in
   let synthetic =
-    Arg.(
-      value & flag
-      & info [ "synthetic" ]
-          ~doc:"Sample a generated synthetic federation instead of the demo.")
-  in
-  let sql =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY"
-          ~doc:"SQL/X query repeated by the stream. Default: the demo's Q1.")
+    synthetic_arg
+      ~doc:"Sample a generated synthetic federation instead of the demo."
   in
   let term =
     with_logs
       Term.(
         ret
           (const metrics $ queries $ arrival $ strategy $ data_arg $ synthetic
-         $ seed_arg $ store_arg $ sql))
+         $ seed_arg $ store_arg $ stream_query_arg))
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -1362,12 +1316,7 @@ let params_cmd =
 (* ---- generate ---- *)
 
 let generate seed n_db n_classes n_entities =
-  let at_least flag min v =
-    if v < min then begin
-      Format.eprintf "%s must be >= %d@." flag min;
-      exit 1
-    end
-  in
+  let at_least flag min v = if v < min then fail "%s must be >= %d" flag min in
   at_least "--databases" 1 n_db;
   at_least "--classes" 1 n_classes;
   at_least "--entities" 0 n_entities;
@@ -1410,9 +1359,7 @@ let plan data synthetic seed objective sql =
     match objective with
     | "total" -> Planner.Total_time
     | "response" -> Planner.Response_time
-    | other ->
-      Format.eprintf "unknown objective %S (total|response)@." other;
-      exit 1
+    | other -> fail "unknown objective %S (total|response)" other
   in
   let chosen, predictions = Planner.choose ~objective fed analysis in
   Format.printf "query: %a@.@." Ast.pp analysis.Analysis.query;
@@ -1424,16 +1371,8 @@ let plan data synthetic seed objective sql =
   `Ok ()
 
 let plan_cmd =
-  let sql =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"QUERY" ~doc:"SQL/X query string.")
-  in
   let synthetic =
-    Arg.(
-      value & flag
-      & info [ "synthetic" ] ~doc:"Plan against a generated synthetic federation.")
+    synthetic_arg ~doc:"Plan against a generated synthetic federation."
   in
   let objective =
     Arg.(
@@ -1445,7 +1384,7 @@ let plan_cmd =
     (Cmd.info "plan"
        ~doc:"Profile the federation, predict each strategy's cost and run the              recommended one.")
     (with_logs
-       Term.(ret (const plan $ data_arg $ synthetic $ seed_arg $ objective $ sql)))
+       Term.(ret (const plan $ data_arg $ synthetic $ seed_arg $ objective $ sql_arg)))
 
 (* ---- validate ---- *)
 
@@ -1454,6 +1393,7 @@ let validate_src = Logs.Src.create "msdq.validate" ~doc:"strategy cross-checks"
 module Validate_log = (val Logs.src_log validate_src : Logs.LOG)
 
 let validate seeds progress =
+  if seeds < 1 then fail "--seeds must be >= 1";
   let registry = Msdq_obs.Metrics.create () in
   let outcomes outcome =
     Msdq_obs.Metrics.counter registry

@@ -49,8 +49,3 @@ let check_read_bytes (c : Cost.t) reqs =
       + max c.Cost.s_page
           (c.Cost.s_loid + (List.length r.Checks.pred.Predicate.path * c.Cost.s_a)))
     0 reqs
-
-let coalesced_requests_bytes (c : Cost.t) ~header_bytes groups =
-  if header_bytes < 0 then invalid_arg "Wire: negative message header size";
-  List.fold_left (fun acc reqs -> acc + requests_bytes c reqs) header_bytes
-    groups

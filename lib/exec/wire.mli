@@ -39,12 +39,3 @@ val check_read_bytes : Cost.t -> Checks.request list -> int
 (** Disk bytes to fetch the assistant objects of a request batch: one
     random-access page per request at minimum (assistants are fetched by
     LOid, not scanned). *)
-
-val coalesced_requests_bytes :
-  Cost.t -> header_bytes:int -> Checks.request list list -> int
-(** Bytes of one coalesced check-request message carrying several queries'
-    request batches to the same target site: one [header_bytes] framing
-    constant plus the packed {!requests_bytes} payloads. The workload
-    engine's cross-query batching ([Msdq_serve]) amortizes the header this
-    way; with a single group this is exactly the unbatched message size.
-    Raises [Invalid_argument] on negative [header_bytes]. *)

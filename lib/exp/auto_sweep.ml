@@ -30,6 +30,10 @@ type outcome = {
   rank_match_rate : float;
 }
 
+(* Minimum predicted second-best/best response ratio for a candidate to
+   count as a query its predicted winner should genuinely win. *)
+let min_margin = 1.05
+
 (* The mixed workload: one dense synthetic federation (every database hosts
    every class, a quarter of the attributes missing schema-level, some
    nulls on top) and a set of distinct conjunctive queries chosen so that
@@ -37,22 +41,6 @@ type outcome = {
    workload an adaptive selector exists for. Candidate queries come from
    the synth generator's per-index rng streams; selection is a pure
    function of the seed. *)
-let federation_of seed =
-  Synth.generate
-    {
-      Synth.default with
-      Synth.seed = (seed * 131) + 7;
-      n_entities = 80;
-      p_host = 1.0;
-      p_attr_present = 0.75;
-      p_null = 0.12;
-      p_copy = 0.4;
-    }
-
-(* Minimum predicted second-best/best response ratio for a candidate to
-   count as a query its predicted winner should genuinely win. *)
-let min_margin = 1.05
-
 let candidate_queries ~seed ~distinct ~cost fed cfg =
   let schema = Global_schema.schema (Federation.global_schema fed) in
   let base = Rng.create ~seed:(seed + 211) in
@@ -131,18 +119,8 @@ let default_spacing_us = 20_000.0
 let run ?registry ?progress ?(queries = 8) ?(distinct = 4) ?(seed = 1996)
     ?(cost = Cost.default) () =
   let id = "auto-sweep" in
-  let cfg =
-    {
-      Synth.default with
-      Synth.seed = (seed * 131) + 7;
-      n_entities = 80;
-      p_host = 1.0;
-      p_attr_present = 0.75;
-      p_null = 0.12;
-      p_copy = 0.4;
-    }
-  in
-  let fed = federation_of seed in
+  let cfg = { Synth.dense with Synth.seed = (seed * 131) + 7; n_entities = 80 } in
+  let fed = Synth.generate cfg in
   let analyses = candidate_queries ~seed ~distinct ~cost fed cfg in
   let distinct = List.length analyses in
   if distinct = 0 then invalid_arg "Auto_sweep: no analyzable queries";

@@ -33,35 +33,6 @@ let strategies = [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 let fail_stop = "fail-stop"
 let availabilities = [| 0.7; 0.8; 0.9; 0.95; 1.0 |]
 
-(* A random concrete case: a synthetic federation plus a query that analyzes
-   against its global schema. A random path may name an attribute no
-   constituent kept; retry with fresh draws, like the equivalence suite. *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    (* Denser than [Synth.default]: every database hosts every class and a
-       quarter of the attributes are missing, so local evaluation leaves
-       real maybe sets and the strategies actually exercise checks,
-       shipping and certification — the machinery faults can hurt. *)
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        n_entities = 60;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
 (* Certain-set recall of a degraded run against its fault-free reference:
    the fraction of fault-free certain results the faulty run still
    certifies. An empty reference certain set recalls trivially. *)
@@ -83,8 +54,45 @@ type point_result = {
   p_hard_recall : float;
 }
 
-let point ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
-  match make_case (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000) 0 with
+(* What the points of both sweeps share: sample [si]'s concrete case (a
+   dense synthetic federation and a query), its fault-free reference
+   answers in [strategies] order, the options every run starts from, and
+   on demand a random schedule over the component sites drawn from the
+   stream of grid point [idx] — keyed by the flat (level, sample) index so
+   every point draws independently of evaluation order — with a horizon of
+   twice the longest reference response. The global site never crashes
+   (it hosts the client), but its incoming link is as lossy as the others —
+   otherwise CA, whose transfers all terminate there, would be trivially
+   immune. *)
+let setup ~seed ~cost ~salt ~idx ~si ~availability ~drop ~inflate =
+  let case_seed = Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000 in
+  Option.map
+    (fun (fed, analysis) ->
+      let options = { Strategy.default_options with Strategy.cost } in
+      let fault_free = List.map (fun s -> Strategy.run ~options s fed analysis) strategies in
+      let horizon =
+        let longest =
+          List.fold_left
+            (fun acc (_, m) -> Time.max acc m.Strategy.response)
+            (Time.ms 1.0) fault_free
+        in
+        Time.us (2.0 *. Time.to_us longest)
+      in
+      let lossy =
+        lazy
+          (let sites = List.init (List.length (Federation.databases fed)) (fun i -> i + 1) in
+           let rng = Rng.split_ix (Rng.create ~seed:(seed + salt)) ~i:idx in
+           let sched = Fault.random ~rng ~sites ~availability ~horizon ~drop ~inflate () in
+           {
+             sched with
+             Fault.links = { Fault.dst = 0; drop; inflate; jitter = 0.0 } :: sched.Fault.links;
+           })
+      in
+      (fed, analysis, options, List.map fst fault_free, lossy))
+    (Synth.case { Synth.dense with Synth.n_entities = 60 } case_seed)
+
+let point ~seed ~cost ~drop ~inflate ~idx ~si ~availability =
+  match setup ~seed ~cost ~salt:7919 ~idx ~si ~availability ~drop ~inflate with
   | None ->
     (* no analyzable query for this stream: a vacuous, neutral sample *)
     {
@@ -93,45 +101,10 @@ let point ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
       p_hard_response = 0.0;
       p_hard_recall = 1.0;
     }
-  | Some (fed, analysis) ->
-    let fault_free =
-      List.map
-        (fun s ->
-          let answer, m = Strategy.run ~options:{ Strategy.default_options with Strategy.cost } s fed analysis in
-          (answer, m.Strategy.response))
-        strategies
-    in
-    let horizon =
-      let longest =
-        List.fold_left (fun acc (_, r) -> Time.max acc r) (Time.ms 1.0) fault_free
-      in
-      Time.us (2.0 *. Time.to_us longest)
-    in
-    let n_db = List.length (Federation.databases fed) in
-    let component_sites = List.init n_db (fun i -> i + 1) in
-    let fault_rng =
-      (* keyed by the flat (level, sample) index so every grid point draws
-         an independent schedule, order-independently *)
-      Rng.split_ix (Rng.create ~seed:(seed + 7919)) ~i:idx
-    in
-    let fault =
-      (* the 1.0 column is the fault-free anchor, whatever the link knobs *)
-      if availability >= 1.0 then Fault.none
-      else
-        let sched =
-          Fault.random ~rng:fault_rng ~sites:component_sites ~availability
-            ~horizon ~drop ~inflate ()
-        in
-        (* The global site never crashes (it hosts the client), but its
-           incoming link is as lossy as the others — otherwise CA, whose
-           transfers all terminate there, would be trivially immune. *)
-        {
-          sched with
-          Fault.links =
-            { Fault.dst = 0; drop; inflate; jitter = 0.0 } :: sched.Fault.links;
-        }
-    in
-    let options = { Strategy.default_options with Strategy.cost; Strategy.fault } in
+  | Some (fed, analysis, options, references, lossy) ->
+    (* the 1.0 column is the fault-free anchor, whatever the link knobs *)
+    let fault = if availability >= 1.0 then Fault.none else Lazy.force lossy in
+    let options = { options with Strategy.fault } in
     let faulty =
       List.map (fun s -> Strategy.run ~options s fed analysis) strategies
     in
@@ -142,8 +115,8 @@ let point ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
     let p_recalls =
       Array.of_list
         (List.map2
-           (fun (reference, _) (got, _) -> recall ~reference ~faulty:got)
-           fault_free faulty)
+           (fun reference (got, _) -> recall ~reference ~faulty:got)
+           references faulty)
     in
     (* The hard-failing baseline: a client of the same faulty BL execution
        that has no degraded-answer mode. Any loss aborts the query — recall
@@ -157,74 +130,60 @@ let point ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
     in
     { p_responses; p_recalls; p_hard_response = p_responses.(1); p_hard_recall }
 
-let run ?pool ?registry ?progress ?(samples = 12) ?(seed = 1996)
-    ?(cost = Cost.default) ?(drop = 0.05) ?(inflate = 1.0) () =
+(* Evaluates [point ~idx ~si ~availability] over the flat (level, sample)
+   grid and returns the per-level mean of a projection of its results. *)
+let levels ?pool ?registry ?progress ~id ~counter ~samples point =
   let xs = availabilities in
-  let nx = Array.length xs in
-  let n_points = nx * samples in
-  let completed = Atomic.make 0 in
-  let feedback_mutex = Mutex.create () in
-  let id = "fault-sweep" in
-  let point_at i =
-    let li = i / samples and si = i mod samples in
-    let r = point ~seed ~cost ~idx:i ~si ~availability:xs.(li) ~drop ~inflate in
-    let done_now = 1 + Atomic.fetch_and_add completed 1 in
-    Mutex.lock feedback_mutex;
+  let log i _ ~completed ~total =
     Log.info (fun m ->
-        m "%s: availability=%g sample %d done (%d/%d points)" id xs.(li) si
-          done_now n_points);
-    (match progress with
-    | Some f -> f ~figure:id ~completed:done_now ~total:n_points
-    | None -> ());
-    Mutex.unlock feedback_mutex;
-    r
+        m "%s: availability=%g sample %d done (%d/%d points)" id
+          xs.(i / samples) (i mod samples) completed total)
   in
-  let grid = Array.init n_points (fun i -> i) in
   let results =
-    match pool with
-    | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-      Msdq_par.Pool.map_array pool ~f:(fun i _ -> point_at i) grid
-    | Some _ | None -> Array.map point_at grid
+    Grid.map ?pool ?progress ~id ~log
+      (fun i -> point ~idx:i ~si:(i mod samples) ~availability:xs.(i / samples))
+      (Array.init (Array.length xs * samples) Fun.id)
   in
   (match registry with
   | Some reg ->
     Metrics.inc
-      (Metrics.counter reg ~labels:[ ("figure", id) ] "msdq_fault_samples_total")
-      n_points
+      (Metrics.counter reg ~labels:[ ("figure", id) ] counter)
+      (Array.length results)
   | None -> ());
-  let mean f li =
-    let acc = ref 0.0 in
-    for si = 0 to samples - 1 do
-      acc := !acc +. f results.((li * samples) + si)
-    done;
-    !acc /. float_of_int samples
+  fun f ->
+    Array.init (Array.length xs) (fun li ->
+        let acc = ref 0.0 in
+        for si = 0 to samples - 1 do
+          acc := !acc +. f results.((li * samples) + si)
+        done;
+        !acc /. float_of_int samples)
+
+let run ?pool ?registry ?progress ?(samples = 12) ?(seed = 1996)
+    ?(cost = Cost.default) ?(drop = 0.05) ?(inflate = 1.0) () =
+  let id = "fault-sweep" in
+  let mean =
+    levels ?pool ?registry ?progress ~id ~counter:"msdq_fault_samples_total"
+      ~samples (point ~seed ~cost ~drop ~inflate)
   in
-  let strategy_series =
-    List.mapi
-      (fun k s ->
-        {
-          label = Strategy.to_string s;
-          responses = Array.init nx (fun li -> mean (fun r -> r.p_responses.(k)) li);
-          recalls = Array.init nx (fun li -> mean (fun r -> r.p_recalls.(k)) li);
-        })
-      strategies
-  in
-  let hard =
-    {
-      label = fail_stop;
-      responses = Array.init nx (fun li -> mean (fun r -> r.p_hard_response) li);
-      recalls = Array.init nx (fun li -> mean (fun r -> r.p_hard_recall) li);
-    }
+  let series label response recall =
+    { label; responses = mean response; recalls = mean recall }
   in
   {
     id;
     title =
       "Response time and certain-set recall under site crashes and lossy links";
     xlabel = "site availability";
-    xs;
+    xs = availabilities;
     samples;
     seed;
-    series = strategy_series @ [ hard ];
+    series =
+      List.mapi
+        (fun k s ->
+          series (Strategy.to_string s)
+            (fun r -> r.p_responses.(k))
+            (fun r -> r.p_recalls.(k)))
+        strategies
+      @ [ series fail_stop (fun r -> r.p_hard_response) (fun r -> r.p_hard_recall) ];
   }
 
 let series_of sweep label =
@@ -272,72 +231,34 @@ type rpoint_result = {
   rp_demoted : float array;
 }
 
-let rpoint ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
+let rpoint ~seed ~cost ~drop ~inflate ~idx ~si ~availability =
   let n_cells = List.length strategies * List.length rmodes in
-  match
-    make_case
-      (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000)
-      0
-  with
+  match setup ~seed ~cost ~salt:6271 ~idx ~si ~availability ~drop ~inflate with
   | None ->
     {
       rp_responses = Array.make n_cells 0.0;
       rp_recalls = Array.make n_cells 1.0;
       rp_demoted = Array.make n_cells 0.0;
     }
-  | Some (fed, analysis) ->
-    let fault_free =
-      List.map
-        (fun s ->
-          let answer, m =
-            Strategy.run
-              ~options:{ Strategy.default_options with Strategy.cost }
-              s fed analysis
-          in
-          (answer, m.Strategy.response))
-        strategies
-    in
-    let horizon =
-      let longest =
-        List.fold_left (fun acc (_, r) -> Time.max acc r) (Time.ms 1.0) fault_free
-      in
-      Time.us (2.0 *. Time.to_us longest)
-    in
-    let n_db = List.length (Federation.databases fed) in
-    let component_sites = List.init n_db (fun i -> i + 1) in
-    let fault_rng = Rng.split_ix (Rng.create ~seed:(seed + 6271)) ~i:idx in
+  | Some (fed, analysis, options, references, lossy) ->
     (* unlike the fault sweep, the 1.0 column is NOT fault-free: sites never
        crash but links stay lossy (Fault.random at availability 1.0), so the
        column isolates what failover buys against pure message loss *)
-    let fault =
-      let sched =
-        Fault.random ~rng:fault_rng ~sites:component_sites ~availability
-          ~horizon ~drop ~inflate ()
-      in
-      {
-        sched with
-        Fault.links = { Fault.dst = 0; drop; inflate; jitter = 0.0 } :: sched.Fault.links;
-      }
-    in
+    let fault = Lazy.force lossy in
     let cells =
       List.concat_map
-        (fun (s, (reference, _)) ->
+        (fun (s, reference) ->
           List.map
             (fun mode ->
               let options =
-                {
-                  Strategy.default_options with
-                  Strategy.cost;
-                  Strategy.fault;
-                  Strategy.recovery = rmode_policy mode;
-                }
+                { options with Strategy.fault; recovery = rmode_policy mode }
               in
               let got, m = Strategy.run ~options s fed analysis in
               ( Time.to_s m.Strategy.response,
                 recall ~reference ~faulty:got,
                 float_of_int m.Strategy.availability.Strategy.demoted ))
             rmodes)
-        (List.combine strategies fault_free)
+        (List.combine strategies references)
     in
     {
       rp_responses = Array.of_list (List.map (fun (r, _, _) -> r) cells);
@@ -347,47 +268,10 @@ let rpoint ~seed ~cost ~idx ~si ~availability ~drop ~inflate =
 
 let run_recovery ?pool ?registry ?progress ?(samples = 12) ?(seed = 2024)
     ?(cost = Cost.default) ?(drop = 0.2) ?(inflate = 1.0) () =
-  let xs = availabilities in
-  let nx = Array.length xs in
-  let n_points = nx * samples in
-  let completed = Atomic.make 0 in
-  let feedback_mutex = Mutex.create () in
   let id = "recovery-sweep" in
-  let point_at i =
-    let li = i / samples and si = i mod samples in
-    let r = rpoint ~seed ~cost ~idx:i ~si ~availability:xs.(li) ~drop ~inflate in
-    let done_now = 1 + Atomic.fetch_and_add completed 1 in
-    Mutex.lock feedback_mutex;
-    Log.info (fun m ->
-        m "%s: availability=%g sample %d done (%d/%d points)" id xs.(li) si
-          done_now n_points);
-    (match progress with
-    | Some f -> f ~figure:id ~completed:done_now ~total:n_points
-    | None -> ());
-    Mutex.unlock feedback_mutex;
-    r
-  in
-  let grid = Array.init n_points (fun i -> i) in
-  let results =
-    match pool with
-    | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-      Msdq_par.Pool.map_array pool ~f:(fun i _ -> point_at i) grid
-    | Some _ | None -> Array.map point_at grid
-  in
-  (match registry with
-  | Some reg ->
-    Metrics.inc
-      (Metrics.counter reg
-         ~labels:[ ("figure", id) ]
-         "msdq_recovery_samples_total")
-      n_points
-  | None -> ());
-  let mean f li =
-    let acc = ref 0.0 in
-    for si = 0 to samples - 1 do
-      acc := !acc +. f results.((li * samples) + si)
-    done;
-    !acc /. float_of_int samples
+  let mean =
+    levels ?pool ?registry ?progress ~id ~counter:"msdq_recovery_samples_total"
+      ~samples (rpoint ~seed ~cost ~drop ~inflate)
   in
   let rseries =
     List.concat
@@ -397,14 +281,10 @@ let run_recovery ?pool ?registry ?progress ?(samples = 12) ?(seed = 2024)
              (fun j mode ->
                let cell = (k * List.length rmodes) + j in
                {
-                 r_label =
-                   Strategy.to_string s ^ "+" ^ rmode_label mode;
-                 r_responses =
-                   Array.init nx (fun li -> mean (fun r -> r.rp_responses.(cell)) li);
-                 r_recalls =
-                   Array.init nx (fun li -> mean (fun r -> r.rp_recalls.(cell)) li);
-                 r_demoted =
-                   Array.init nx (fun li -> mean (fun r -> r.rp_demoted.(cell)) li);
+                 r_label = Strategy.to_string s ^ "+" ^ rmode_label mode;
+                 r_responses = mean (fun r -> r.rp_responses.(cell));
+                 r_recalls = mean (fun r -> r.rp_recalls.(cell));
+                 r_demoted = mean (fun r -> r.rp_demoted.(cell));
                })
              rmodes)
          strategies)
@@ -415,7 +295,7 @@ let run_recovery ?pool ?registry ?progress ?(samples = 12) ?(seed = 2024)
       "Certain-set recall vs availability: retry-only vs failover vs \
        failover+hedging";
     rxlabel = "site availability";
-    rxs = xs;
+    rxs = availabilities;
     rsamples = samples;
     rseed = seed;
     rseries;

@@ -26,39 +26,27 @@ let paper_strategies = [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 
 (* One sweep = a flat grid of (strategy, x) points, each an independent
    [Param_sim.average] with its own graphs, rng streams and (per run) metrics
-   instances. The grid evaluates either in index order (no pool) or on the
-   pool's domains; either way the merge below walks the grid in index order,
-   so series arrays, registry counters and therefore every downstream report
-   are bit-identical for any worker count. Only the live progress/log lines
-   (serialized but unordered) depend on scheduling. *)
+   instances, evaluated by [Grid.map]. The merge below walks the grid in
+   index order, so series arrays, registry counters and therefore every
+   downstream report are bit-identical for any worker count. *)
 let sweep ?pool ?registry ?progress ~id ~samples ~seed ~cost ~strategies ~xs
     ~config_of () =
   let strategies_a = Array.of_list strategies in
   let nx = Array.length xs in
-  let n_points = Array.length strategies_a * nx in
-  let completed = Atomic.make 0 in
-  let feedback_mutex = Mutex.create () in
+  let strategy_of i = strategies_a.(i / nx) and x_of i = xs.(i mod nx) in
   let point i =
-    let strategy = strategies_a.(i / nx) and x = xs.(i mod nx) in
-    let ranges, overrides = config_of x in
-    let t = Param_sim.average ~overrides ~cost ~samples ~seed ~ranges strategy in
-    let done_now = 1 + Atomic.fetch_and_add completed 1 in
-    Mutex.lock feedback_mutex;
-    Log.info (fun m ->
-        m "%s: %s x=%g done (%d/%d points)" id (Strategy.to_string strategy) x
-          done_now n_points);
-    (match progress with
-    | Some f -> f ~figure:id ~completed:done_now ~total:n_points
-    | None -> ());
-    Mutex.unlock feedback_mutex;
-    t
+    let ranges, overrides = config_of (x_of i) in
+    Param_sim.average ~overrides ~cost ~samples ~seed ~ranges (strategy_of i)
   in
-  let grid = Array.init n_points (fun i -> i) in
+  let log i _ ~completed ~total =
+    Log.info (fun m ->
+        m "%s: %s x=%g done (%d/%d points)" id
+          (Strategy.to_string (strategy_of i))
+          (x_of i) completed total)
+  in
   let results =
-    match pool with
-    | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-      Msdq_par.Pool.map_array pool ~f:(fun i _ -> point i) grid
-    | Some _ | None -> Array.map point grid
+    Grid.map ?pool ?progress ~id ~log point
+      (Array.init (Array.length strategies_a * nx) Fun.id)
   in
   List.mapi
     (fun si strategy ->

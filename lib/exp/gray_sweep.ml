@@ -73,49 +73,6 @@ let response_margin = 0.05
    exactly the same legs. *)
 let static_timeout_us = 100_000.0
 
-(* Same dense single-case generation as the serve/overload sweeps: every
-   database hosts every class and a quarter of the attributes are missing,
-   so BL issues real check round trips — the legs gray faults degrade. *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        n_entities = 60;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis ->
-        (* A case whose BL plan issues no check round trips cannot
-           exercise retransmission timeouts at all: probe one fault-free
-           serve and skip the case unless real checks go on the wire. *)
-        let probe =
-          Serve.run
-            { Serve.default_config with cache_bytes = 0; window = Time.zero }
-            fed
-            [
-              {
-                Serve.strategy = Strategy.Bl;
-                analysis;
-                arrival = Time.zero;
-                deadline = None;
-              };
-            ]
-        in
-        if probe.Serve.check_latency <> [] then Some (fed, analysis)
-        else make_case seed (attempt + 1)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
 (* The gray schedule of one (kind, severity) cell: explicit windows over
    the database sites, anchored to the job stream's horizon, plus the
    shared lossy link. Deterministic — no draws besides the schedule's own
@@ -188,16 +145,6 @@ let schedule ~seed ~kind ~severity ~sites ~horizon_us =
     | _ -> []
   in
   { Fault.seed; sites = outages; links; slowdowns; partitions }
-
-let percentile_ms lats_us p =
-  match lats_us with
-  | [] -> 0.0
-  | l ->
-      let s = Stats.summarize l in
-      (match p with
-      | `Mean -> s.Stats.mean_us
-      | `P99 -> s.Stats.p99_us)
-      /. 1000.0
 
 let config ~cost ~sched ~static_timeout_us ~retry_adaptive ~latency_of =
   {
@@ -295,8 +242,8 @@ let point ~cost ~fed ~analysis ~queries ~seed ~policy ~kind ~severity =
     pt_demoted_rows = demoted;
     pt_abandoned_checks =
       Metrics.total out.Serve.registry "msdq_checks_abandoned_total";
-    pt_mean_ms = percentile_ms lats_us `Mean;
-    pt_p99_ms = percentile_ms lats_us `P99;
+    pt_mean_ms = Stats.mean lats_us /. 1000.0;
+    pt_p99_ms = Stats.percentile_ms lats_us 0.99;
     pt_gray_sites = List.length (Fault.gray_sites sched);
   },
   Metrics.total out.Serve.registry "msdq_fault_retries_total"
@@ -304,7 +251,21 @@ let point ~cost ~fed ~analysis ~queries ~seed ~policy ~kind ~severity =
 let run ?pool ?registry ?progress ?(queries = 12) ?(seed = 1996)
     ?(cost = Cost.default) () =
   let id = "gray-sweep" in
-  match make_case seed 0 with
+  (* The dense case, skipped unless its BL plan puts real check round trips
+     on the wire — the legs gray faults degrade: a fault-free probe serve
+     must observe check latency. *)
+  let checks_on_wire fed analysis =
+    let probe =
+      Serve.run
+        { Serve.default_config with cache_bytes = 0; window = Time.zero }
+        fed
+        [ { Serve.strategy = Strategy.Bl; analysis; arrival = Time.zero; deadline = None } ]
+    in
+    probe.Serve.check_latency <> []
+  in
+  match
+    Synth.case ~accept:checks_on_wire { Synth.dense with Synth.n_entities = 60 } seed
+  with
   | None -> invalid_arg "Gray_sweep: no analyzable case for this seed"
   | Some (fed, analysis) ->
       let grid =
@@ -317,32 +278,21 @@ let run ?pool ?registry ?progress ?(queries = 12) ?(seed = 1996)
                  kinds)
              policies)
       in
-      let total = Array.length grid in
-      let completed = Atomic.make 0 in
-      let feedback_mutex = Mutex.create () in
-      let cell (policy, kind, severity) =
-        let r, retries =
-          point ~cost ~fed ~analysis ~queries ~seed ~policy ~kind ~severity
-        in
-        let done_now = 1 + Atomic.fetch_and_add completed 1 in
-        Mutex.lock feedback_mutex;
+      let log (policy, kind, severity) (r, retries) ~completed ~total =
         Log.info (fun m ->
             m "%s: %s/%s/%s done (%d/%d): mean %.2f ms, %d demoted, %d \
                retries"
-              id policy kind severity done_now total r.pt_mean_ms
-              r.pt_demoted_rows retries);
-        (match progress with
-        | Some f -> f ~figure:id ~completed:done_now ~total
-        | None -> ());
-        Mutex.unlock feedback_mutex;
-        r
+              id policy kind severity completed total r.pt_mean_ms
+              r.pt_demoted_rows retries)
       in
       let points =
-        match pool with
-        | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-            Array.to_list
-              (Msdq_par.Pool.map_array pool ~f:(fun _ g -> cell g) grid)
-        | Some _ | None -> Array.to_list (Array.map cell grid)
+        Array.to_list
+          (Array.map fst
+             (Grid.map ?pool ?progress ~id ~log
+                (fun (policy, kind, severity) ->
+                  point ~cost ~fed ~analysis ~queries ~seed ~policy ~kind
+                    ~severity)
+                grid))
       in
       (match registry with
       | Some reg ->
@@ -350,7 +300,7 @@ let run ?pool ?registry ?progress ?(queries = 12) ?(seed = 1996)
             (Metrics.counter reg
                ~labels:[ ("figure", id) ]
                "msdq_gray_points_total")
-            total
+            (Array.length grid)
       | None -> ());
       {
         id;

@@ -1,6 +1,4 @@
 open Msdq_simkit
-open Msdq_fed
-open Msdq_query
 open Msdq_exec
 open Msdq_workload
 open Msdq_serve
@@ -54,41 +52,6 @@ let multipliers = [| 0.5; 1.0; 2.0; 3.0 |]
    virtual service. *)
 let deadline_factor = 1.8
 let queue_limit = 2
-
-(* Same dense single-case generation as the serve sweep: every database
-   hosts every class, a quarter of the attributes missing, so BL issues
-   real check round trips — the work deadlines abandon. *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        n_entities = 60;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
-let percentile_ms lats_us p =
-  match lats_us with
-  | [] -> 0.0
-  | l ->
-      let s = Stats.summarize l in
-      (match p with
-      | `P50 -> s.Stats.p50_us
-      | `P99 -> s.Stats.p99_us)
-      /. 1000.0
 
 (* One (policy, multiplier) cell: [queries] identical BL jobs spaced
    [solo / multiplier] apart. Pure in its arguments — the pool can run
@@ -159,8 +122,8 @@ let point ~cost ~fed ~analysis ~queries ~solo_us ~deadline_us ~policy
       (if admitted > 0 then
          float_of_int deadline_hits /. float_of_int admitted
        else 0.0);
-    pt_p50_ms = percentile_ms lats_us `P50;
-    pt_p99_ms = percentile_ms lats_us `P99;
+    pt_p50_ms = Stats.percentile_ms lats_us 0.50;
+    pt_p99_ms = Stats.percentile_ms lats_us 0.99;
     pt_demoted_rows = demoted;
     pt_abandoned_checks =
       Metrics.total out.Serve.registry "msdq_checks_abandoned_total";
@@ -172,7 +135,9 @@ let policies =
 let run ?pool ?registry ?progress ?(queries = 16) ?(seed = 1996)
     ?(cost = Cost.default) () =
   let id = "overload-sweep" in
-  match make_case seed 0 with
+  (* The dense case: BL sends real check round trips — the work deadlines
+     abandon. *)
+  match Synth.case { Synth.dense with Synth.n_entities = 60 } seed with
   | None -> invalid_arg "Overload_sweep: no analyzable case for this seed"
   | Some (fed, analysis) ->
       (* Calibrate capacity: the realized solo response of one served BL
@@ -209,32 +174,19 @@ let run ?pool ?registry ?progress ?(queries = 16) ?(seed = 1996)
                  (Array.map (fun m -> (policy, m)) multipliers))
              policies)
       in
-      let total = Array.length grid in
-      let completed = Atomic.make 0 in
-      let feedback_mutex = Mutex.create () in
-      let cell (policy, multiplier) =
-        let r =
-          point ~cost ~fed ~analysis ~queries ~solo_us ~deadline_us ~policy
-            ~multiplier
-        in
-        let done_now = 1 + Atomic.fetch_and_add completed 1 in
-        Mutex.lock feedback_mutex;
+      let log (policy, multiplier) r ~completed ~total =
         Log.info (fun m ->
             m "%s: %s x%.1f done (%d/%d): p99 %.1f ms, %d/%d admitted" id
-              policy multiplier done_now total r.pt_p99_ms r.pt_admitted
-              queries);
-        (match progress with
-        | Some f -> f ~figure:id ~completed:done_now ~total
-        | None -> ());
-        Mutex.unlock feedback_mutex;
-        r
+              policy multiplier completed total r.pt_p99_ms r.pt_admitted
+              queries)
       in
       let points =
-        match pool with
-        | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-            Array.to_list
-              (Msdq_par.Pool.map_array pool ~f:(fun _ g -> cell g) grid)
-        | Some _ | None -> Array.to_list (Array.map cell grid)
+        Array.to_list
+          (Grid.map ?pool ?progress ~id ~log
+             (fun (policy, multiplier) ->
+               point ~cost ~fed ~analysis ~queries ~solo_us ~deadline_us
+                 ~policy ~multiplier)
+             grid)
       in
       let cap_p99_ms =
         match
@@ -254,7 +206,7 @@ let run ?pool ?registry ?progress ?(queries = 16) ?(seed = 1996)
             (Metrics.counter reg
                ~labels:[ ("figure", id) ]
                "msdq_overload_points_total")
-            total
+            (Array.length grid)
       | None -> ());
       {
         id;

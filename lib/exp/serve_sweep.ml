@@ -1,6 +1,4 @@
 open Msdq_simkit
-open Msdq_fed
-open Msdq_query
 open Msdq_exec
 open Msdq_workload
 open Msdq_serve
@@ -37,31 +35,6 @@ let strategies = [ Strategy.Ca; Strategy.Bl; Strategy.Pl ]
 let cache_bytes_grid = [| 0; 16 * 1024; 256 * 1024; 4 * 1024 * 1024 |]
 let windows_us = [| 0.0; 500.0 |]
 
-(* Same dense case generation as the fault sweep: every database hosts
-   every class, a quarter of the attributes are missing, so the workloads
-   actually read extents and issue checks — the work caching can share. *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        n_entities = 60;
-        p_host = 1.0;
-        p_attr_present = 0.75;
-        p_null = 0.12;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
 type cell = { throughput : float; makespan_s : float; hits_per_query : float }
 
 (* One sample: every (strategy, window, cache) cell over one workload. The
@@ -69,8 +42,11 @@ type cell = { throughput : float; makespan_s : float; hits_per_query : float }
 let point ~seed ~cost ~queries ~si =
   let n_cache = Array.length cache_bytes_grid in
   let n_cells = List.length strategies * Array.length windows_us * n_cache in
+  (* The fault sweep's dense case: the workloads actually read extents and
+     send checks — the work caching can share. *)
   let case =
-    make_case (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000) 0
+    Synth.case { Synth.dense with Synth.n_entities = 60 }
+      (Rng.int (Rng.split_ix (Rng.create ~seed) ~i:si) ~bound:100_000)
   in
   match case with
   | None ->
@@ -123,25 +99,13 @@ let point ~seed ~cost ~queries ~si =
 let run ?pool ?registry ?progress ?(samples = 4) ?(queries = 6) ?(seed = 1996)
     ?(cost = Cost.default) () =
   let id = "serve-sweep" in
-  let completed = Atomic.make 0 in
-  let feedback_mutex = Mutex.create () in
-  let point_at si =
-    let r = point ~seed ~cost ~queries ~si in
-    let done_now = 1 + Atomic.fetch_and_add completed 1 in
-    Mutex.lock feedback_mutex;
-    Log.info (fun m -> m "%s: sample %d done (%d/%d)" id si done_now samples);
-    (match progress with
-    | Some f -> f ~figure:id ~completed:done_now ~total:samples
-    | None -> ());
-    Mutex.unlock feedback_mutex;
-    r
+  let log si _ ~completed ~total =
+    Log.info (fun m -> m "%s: sample %d done (%d/%d)" id si completed total)
   in
-  let grid = Array.init samples (fun i -> i) in
   let results =
-    match pool with
-    | Some pool when Msdq_par.Pool.jobs pool > 1 ->
-        Msdq_par.Pool.map_array pool ~f:(fun si _ -> point_at si) grid
-    | Some _ | None -> Array.map point_at grid
+    Grid.map ?pool ?progress ~id ~log
+      (fun si -> point ~seed ~cost ~queries ~si)
+      (Array.init samples Fun.id)
   in
   (match registry with
   | Some reg ->

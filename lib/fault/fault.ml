@@ -61,6 +61,8 @@ let validate s =
           lf.dst lf.drop;
       if Float.is_nan lf.inflate || lf.inflate < 1.0 then
         fail "Fault.validate: link to %d: inflation %g below 1" lf.dst lf.inflate;
+      if lf.inflate = Float.infinity then
+        fail "Fault.validate: link to %d: inflation %g not finite" lf.dst lf.inflate;
       if not (Float.is_finite lf.jitter) || lf.jitter < 0.0 then
         fail "Fault.validate: link to %d: jitter %g negative or not finite"
           lf.dst lf.jitter)

@@ -83,7 +83,8 @@ val validate : schedule -> unit
 (** Raises [Invalid_argument] with a readable message on malformed
     schedules: overlapping or unordered windows (outage, slowdown or
     partition), [up <= down], drop probabilities outside [0,1], inflation
-    < 1, negative jitter, slowdown factors < 1, negative sites. *)
+    < 1 or infinite, negative jitter, slowdown factors < 1, negative
+    sites. *)
 
 val site_down : schedule -> site:int -> at:Time.t -> bool
 

@@ -32,18 +32,20 @@ type config = {
   options : Strategy.options;
   cache_bytes : int;
   window : Time.t;
-  msg_header_bytes : int;
   deadline : Time.t option;
   queue_limit : int option;
   shed_policy : shed_policy;
 }
+
+(* The framing bytes charged on every serve-path message on top of the
+   Table 1 byte costs; batching amortizes them across queries. *)
+let msg_header_bytes = 64
 
 let default_config =
   {
     options = Strategy.default_options;
     cache_bytes = 4 * 1024 * 1024;
     window = Time.zero;
-    msg_header_bytes = 64;
     deadline = None;
     queue_limit = None;
     shed_policy = Reject_newest;
@@ -115,7 +117,6 @@ let validate cfg jobs =
   if cfg.options.Strategy.deep_certify then
     invalid_arg "Serve: deep_certify is not supported by the workload engine";
   if cfg.cache_bytes < 0 then invalid_arg "Serve: negative cache_bytes";
-  if cfg.msg_header_bytes < 0 then invalid_arg "Serve: negative msg_header_bytes";
   if (not (Time.is_finite cfg.window)) || Time.compare cfg.window Time.zero < 0
   then invalid_arg "Serve: window must be non-negative and finite";
   validate_deadline "deadline" cfg.deadline;
@@ -393,33 +394,6 @@ let involved_sig involved =
          gcls ^ ":" ^ String.concat "," (Involved.attrs_of_class involved gcls))
        (Involved.classes involved))
 
-(* What an extent-cache entry holds: the shipped artifact is a projection of
-   one database's involved extents, and since extents are columnar the
-   natural cached form is a slice descriptor per constituent class — which
-   attribute columns were cut out and over how many rows. Keys, byte
-   accounting and hit/miss behavior are untouched; the payload just stopped
-   being [unit]. *)
-type slice = {
-  s_cls : string;  (* constituent class at the source database *)
-  s_attrs : string list;  (* projected attribute columns *)
-  s_rows : int;  (* extent rows covered at build time *)
-}
-
-let involved_slices fed gs involved ~db_name =
-  let db = Federation.db fed db_name in
-  List.filter_map
-    (fun gcls ->
-      match Global_schema.constituent_of gs ~gcls ~db:db_name with
-      | None -> None
-      | Some cls ->
-          Some
-            {
-              s_cls = cls;
-              s_attrs = Involved.attrs_of_class involved gcls;
-              s_rows = Database.extent_size db cls;
-            })
-    (Involved.classes involved)
-
 let units_of_work = Meter.units
 
 (* One extent cache per site: each site owns [cache_bytes] of cache RAM. *)
@@ -461,6 +435,25 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
     Fault.generation sched ~site:holder ~at
     + if source = holder then 0 else Fault.generation sched ~site:source ~at
   in
+  (* Consults [site]'s extent cache for the [kind] ("ca" or "loc") read of
+     [db_name]'s involved extents, derived from [source]'s data; a miss
+     stores a [bytes]-sized entry. Counts and returns the hit. *)
+  let extent_hit ~site ~source ~kind ~db_name ~bytes =
+    let hit =
+      caching
+      &&
+      let cache = extent_cache_of extent_caches ~cache_bytes:cfg.cache_bytes ~site in
+      let gen = gen ~holder:site ~source in
+      let key = Printf.sprintf "%s|%s|%s" kind db_name isig in
+      match Lru.find cache ~gen key with
+      | Some () -> true
+      | None ->
+          Lru.add cache ~gen ~key ~bytes ();
+          false
+    in
+    if hit then incr extent_hits;
+    hit
+  in
   match j.strategy with
   | Strategy.Cf -> assert false (* rejected by [validate] *)
   | Strategy.Ca ->
@@ -470,20 +463,7 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
           (fun (db_name, db) ->
             let site = Federation.site_of fed db_name in
             let bytes = Wire.projected_extent_bytes c involved gs ~db_name ~db in
-            let hit =
-              caching
-              &&
-              let cache = extent_cache_of extent_caches ~cache_bytes:cfg.cache_bytes ~site:gsite in
-              let g = gen ~holder:gsite ~source:site in
-              let key = Printf.sprintf "ca|%s|%s" db_name isig in
-              match Lru.find cache ~gen:g key with
-              | Some _ -> true
-              | None ->
-                  Lru.add cache ~gen:g ~key ~bytes
-                    (involved_slices fed gs involved ~db_name);
-                  false
-            in
-            if hit then incr extent_hits;
+            let hit = extent_hit ~site:gsite ~source:site ~kind:"ca" ~db_name ~bytes in
             (db_name, site, bytes, hit))
           (Federation.databases fed)
       in
@@ -524,19 +504,8 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
               Wire.localized_read_bytes c involved gs ~db_name ~touched
             in
             let read_hit =
-              caching
-              &&
-              let cache = extent_cache_of extent_caches ~cache_bytes:cfg.cache_bytes ~site in
-              let g = gen ~holder:site ~source:site in
-              let key = Printf.sprintf "loc|%s|%s" db_name isig in
-              match Lru.find cache ~gen:g key with
-              | Some _ -> true
-              | None ->
-                  Lru.add cache ~gen:g ~key ~bytes:read_bytes
-                    (involved_slices fed gs involved ~db_name);
-                  false
+              extent_hit ~site ~source:site ~kind:"loc" ~db_name ~bytes:read_bytes
             in
-            if read_hit then incr extent_hits;
             let phase =
               Strategy.local_phase ~parallel ~checks:checks_on ?signatures
                 ~tracer fed analysis plan
@@ -865,7 +834,7 @@ let net_duration ctx ~dst ~label ~at ~bytes =
 let critical_transfer ctx ~src ~dst ~payload ~label ~deps ?(attrs = [])
     ?(on_delivered = fun () -> ()) () =
   let sched = sched_of ctx in
-  let bytes = payload + ctx.cfg.msg_header_bytes in
+  let bytes = payload + msg_header_bytes in
   ctx.messages <- ctx.messages + 1;
   bump ctx.wl "msdq_messages_total" [ ("path", "serve") ] 1;
   let p = Engine.promise ctx.eng ~label:(label ^ ":done") in
@@ -1294,7 +1263,7 @@ let record_task_histograms wl entries =
    and shed queries so far, newest first. *)
 type intake = {
   wl : Metrics.t;
-  extent_caches : (int, slice list Lru.t) Hashtbl.t;
+  extent_caches : (int, unit Lru.t) Hashtbl.t;
   verdict_cache : Truth.t Lru.t;
   signatures : Sig_catalog.t Lazy.t;
   adm : admission;
@@ -1465,7 +1434,7 @@ let execute ~tracer ~trace cfg fed it =
                 let tsite = Federation.site_of fed g.g_target in
                 let leg ~src ~dst ~payload ~what =
                   let base =
-                    Cost.net c ~bytes:(payload + cfg.msg_header_bytes)
+                    Cost.net c ~bytes:(payload + msg_header_bytes)
                   in
                   let d, _ =
                     Fault.link_fate sched ~src ~dst

@@ -16,8 +16,8 @@
        ([Msdq_query.Answer.cached]);}
     {- {e cross-query check batching} — check requests destined for the
        same site within an admission [config.window] coalesce into
-       one message, amortizing the per-message framing constant
-       ([config.msg_header_bytes]) across queries.}}
+       one message, amortizing the 64-byte framing constant charged on
+       every serve-path message across queries.}}
 
     Everything is charged to the simulated clock of one shared engine, so
     queries contend for the same FIFO resources exactly where real
@@ -124,9 +124,6 @@ type config = {
       (** check-batching admission window: requests reaching the same
           target site within [window] of the first coalesce into one
           message; [Time.zero] disables cross-query batching *)
-  msg_header_bytes : int;
-      (** per-message framing constant amortized by batching; charged on
-          every serve-path message, on top of the Table 1 byte costs *)
   deadline : Time.t option;
       (** per-query latency budget; checks predicted to land past it are
           abandoned at admission and their rows demoted with a
@@ -142,8 +139,8 @@ type config = {
 }
 
 val default_config : config
-(** [Strategy.default_options], 4 MiB caches, no batching window, 64-byte
-    message header, no deadline, unbounded queue, [Reject_newest]. *)
+(** [Strategy.default_options], 4 MiB caches, no batching window, no
+    deadline, unbounded queue, [Reject_newest]. *)
 
 type job = {
   strategy : Strategy.t;

@@ -95,6 +95,8 @@ let percentile xs q =
     let rank = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in
     a.(Int.max 0 (Int.min (n - 1) rank))
 
+let percentile_ms xs q = percentile xs q /. 1000.0
+
 let summarize xs =
   match xs with
   | [] -> empty_summary

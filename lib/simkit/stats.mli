@@ -58,6 +58,9 @@ val percentile : float list -> float -> float
 (** [percentile xs q] is the nearest-rank [q]-percentile ([q] clamped to
     [0, 1]); [0.0] on the empty list. *)
 
+val percentile_ms : float list -> float -> float
+(** {!percentile} of microsecond samples, in milliseconds. *)
+
 val summarize : float list -> summary
 (** [n]/mean/p50/p90/p99/max in one pass; {!empty_summary} on []. *)
 

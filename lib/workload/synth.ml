@@ -31,6 +31,8 @@ let default =
     p_divergent = 0.0;
   }
 
+let dense = { default with p_host = 1.0; p_attr_present = 0.75; p_null = 0.12 }
+
 let class_name k = Printf.sprintf "K%d" k
 let db_name i = Printf.sprintf "DB%d" (i + 1)
 let pred_attr j = Printf.sprintf "p%d" j
@@ -236,3 +238,18 @@ let random_query rng cfg ~disjunctive =
   Ast.make ~range_class:(class_name 0)
     ~targets:[ [ "key" ]; nested_target ]
     ~where ()
+
+let case ?(disjunctive = false) ?(accept = fun _ _ -> true) cfg seed =
+  let rec draw attempt =
+    if attempt > 20 then None
+    else
+      let cfg = { cfg with seed = (seed * 37) + attempt } in
+      let fed = generate cfg in
+      let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
+      let query = random_query rng cfg ~disjunctive in
+      let schema = Global_schema.schema (Federation.global_schema fed) in
+      match Analysis.analyze schema query with
+      | analysis when accept fed analysis -> Some (fed, analysis)
+      | _ | (exception Analysis.Error _) -> draw (attempt + 1)
+  in
+  draw 0

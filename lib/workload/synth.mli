@@ -48,6 +48,13 @@ val default : config
 (** A small federation suitable for tests: 3 databases, a 3-class chain,
     24 entities per class. *)
 
+val dense : config
+(** [default] where every database hosts every class, a quarter of the
+    attributes are missing and 12% of present values are null: local
+    evaluation leaves real maybe sets, so the strategies send checks, ship
+    extents and certify. The sweeps, bench studies and goldens build on it
+    with their own seed and size. *)
+
 val generate : config -> Federation.t
 (** Deterministic in [config.seed]. *)
 
@@ -55,3 +62,17 @@ val random_query : Rng.t -> config -> disjunctive:bool -> Ast.t
 (** A query over the generated schema: 1–3 predicates on random chain
     depths, one target on the root. With [disjunctive], the predicates are
     combined with a random and/or/not tree instead of a conjunction. *)
+
+val case :
+  ?disjunctive:bool ->
+  ?accept:(Federation.t -> Analysis.t -> bool) ->
+  config ->
+  int ->
+  (Federation.t * Analysis.t) option
+(** [case cfg seed] is a federation and a query that analyzes against its
+    global schema: draw [a], for [a] from 0 to 20, generates
+    [{ cfg with seed = seed * 37 + a }] and a {!random_query} from rng
+    seed [seed + a * 1013], and the first draw whose query analyzes and
+    satisfies [accept] (default: any) wins. A random path may name an
+    attribute no constituent kept, hence the retries. [None] when no draw
+    qualifies. *)

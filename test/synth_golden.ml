@@ -15,17 +15,7 @@ module Synth = Msdq_workload.Synth
 
 let federation () =
   Synth.generate
-    {
-      Synth.default with
-      Synth.seed = 1996;
-      n_db = 3;
-      n_classes = 3;
-      n_entities = 120;
-      p_host = 1.0;
-      p_attr_present = 0.75;
-      p_null = 0.12;
-      p_copy = 0.4;
-    }
+    { Synth.dense with Synth.seed = 1996; n_entities = 120 }
 
 (* The benchmark's 8 query shapes over the K0 -> K1 -> K2 chain; the
    constants are fixed per shape instead of seeded. *)

@@ -1,7 +1,8 @@
 (* Argument checks of bin/msdq that run before any work: a draw count
    below 1 would average over nothing, so each command that takes
    --samples refuses it with a readable message and exit code 1; so do
-   generate's sizes and serve's flapping period. *)
+   generate's sizes, validate's seed count, serve's flapping period and
+   cache size, and the link-fault knobs of serve and the sweeps. *)
 
 let msdq_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/msdq.exe"
@@ -44,4 +45,32 @@ let suite =
         let needle = "--flap-ms must be a finite period >= 0" in
         rejects ~needle [ "serve"; "--flap-ms=-1" ] ();
         rejects ~needle [ "serve"; "--flap-ms=inf" ] ());
+    Alcotest.test_case "sweeps and serve reject a bad --drop or --inflate" `Quick
+      (fun () ->
+        let drop = "--drop must be a probability in [0, 1]" in
+        let inflate = "--inflate must be a finite factor >= 1" in
+        List.iter
+          (fun sub ->
+            List.iter
+              (fun (needle, flag) -> rejects ~needle (sub @ [ flag ]) ())
+              [
+                (drop, "--drop=2");
+                (drop, "--drop=-1");
+                (drop, "--drop=nan");
+                (inflate, "--inflate=0");
+                (inflate, "--inflate=inf");
+              ])
+          [
+            [ "experiment"; "fault-sweep"; "--samples"; "1" ];
+            [ "experiment"; "recovery-sweep"; "--samples"; "1" ];
+            [ "serve" ];
+          ]);
+    Alcotest.test_case "serve rejects --cache-mb inf and 1e13" `Quick (fun () ->
+        let needle = "--cache-mb must be finite and below 2^42 MiB" in
+        rejects ~needle [ "serve"; "--cache-mb=inf" ] ();
+        rejects ~needle [ "serve"; "--cache-mb=1e13" ] ());
+    Alcotest.test_case "validate rejects --seeds 0 and -3" `Quick (fun () ->
+        let needle = "--seeds must be >= 1" in
+        rejects ~needle [ "validate"; "--seeds"; "0" ] ();
+        rejects ~needle [ "validate"; "--seeds=-3" ] ());
   ]

@@ -22,20 +22,12 @@ type case = {
   analysis : Analysis.t;
 }
 
-(* Generates a federation and a query that analyzes successfully against its
-   global schema (a random path may name an attribute that no constituent
-   kept, in which case we retry with more predicates-friendly draws). *)
-let rec make_case ?(disjunctive = false) seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg = { Synth.default with Synth.seed = (seed * 37) + attempt } in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some { seed; fed; analysis }
-    | exception Analysis.Error _ -> make_case ~disjunctive seed (attempt + 1)
+(* A federation and a query that analyzes successfully against its global
+   schema. *)
+let make_case ~disjunctive seed =
+  Option.map
+    (fun (fed, analysis) -> { seed; fed; analysis })
+    (Synth.case ~disjunctive Synth.default seed)
 
 let run case s ?(deep = false) () =
   let options = { Strategy.default_options with Strategy.deep_certify = deep } in
@@ -45,7 +37,7 @@ let forall_cases ?(disjunctive = false) ~count name prop =
   QCheck.Test.make ~name ~count
     QCheck.(int_bound 10_000)
     (fun seed ->
-      match make_case ~disjunctive seed 0 with
+      match make_case ~disjunctive seed with
       | None -> true (* no analyzable query for this seed: vacuous *)
       | Some case -> prop case)
 

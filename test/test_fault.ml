@@ -140,6 +140,13 @@ let test_validate_messages () =
             Fault.links = [ { (link 3) with Fault.inflate = 0.5 } ];
           },
         "Fault.validate: link to 3: inflation 0.5 below 1" );
+      ( "infinite inflation",
+        v
+          {
+            Fault.none with
+            Fault.links = [ { (link 3) with Fault.inflate = Float.infinity } ];
+          },
+        "Fault.validate: link to 3: inflation inf not finite" );
       ( "negative jitter",
         v
           {
@@ -561,42 +568,6 @@ let test_none_is_identity () =
 
 (* ---- chaos properties ---- *)
 
-(* A federation and query that analyze; denser than Synth.default so checks
-   and shipping actually happen (same shape as the equivalence suite). *)
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        p_host = 1.0;
-        p_attr_present = 0.7;
-        p_null = 0.15;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
-let random_schedule ~seed ~n_db ~horizon =
-  let rng = Rng.create ~seed in
-  let availability = 0.5 +. (0.5 *. Rng.float rng) in
-  (* near-perfect availability degenerates to the lossy-link-only chaos
-     point: no crash windows, drops still flowing *)
-  let availability = if availability >= 0.999 then 1.0 else availability in
-  let sched =
-    Fault.random ~rng
-      ~sites:(List.init n_db (fun i -> i + 1))
-      ~availability ~horizon ~drop:(0.3 *. Rng.float rng) ()
-  in
-  { sched with Fault.links = { Fault.dst = 0; drop = 0.1; inflate = 1.0; jitter = 0.0 } :: sched.Fault.links }
-
 let chaos_strategies =
   [ Strategy.Ca; Strategy.Bl; Strategy.Pl; Strategy.Bls; Strategy.Pls; Strategy.Cf ]
 
@@ -604,7 +575,7 @@ let prop_chaos_soundness =
   QCheck.Test.make ~name:"chaos: degraded answers are sound" ~count:25
     QCheck.(int_bound 100_000)
     (fun seed ->
-      match make_case seed 0 with
+      match Testutil.chaos_case seed with
       | None -> true
       | Some (fed, analysis) ->
         List.for_all
@@ -614,7 +585,7 @@ let prop_chaos_soundness =
               Time.us (2.0 *. Time.to_us (Time.max ff.Strategy.response (ms 1.0)))
             in
             let fault =
-              random_schedule ~seed:(seed + 31)
+              Testutil.random_schedule ~seed:(seed + 31)
                 ~n_db:(List.length (Federation.databases fed))
                 ~horizon
             in
@@ -704,7 +675,7 @@ let prop_gray_soundness =
     ~name:"gray chaos: slow/jitter/flap/one-way answers are sound" ~count:200
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      match make_case seed 0 with
+      match Testutil.chaos_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let ff_answer, ff = Strategy.run Strategy.Bl fed analysis in
@@ -734,7 +705,7 @@ let prop_chaos_deterministic =
   QCheck.Test.make ~name:"chaos: faulty runs are reproducible" ~count:10
     QCheck.(int_bound 100_000)
     (fun seed ->
-      match make_case seed 0 with
+      match Testutil.chaos_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let _, ff = Strategy.run Strategy.Bl fed analysis in
@@ -742,7 +713,7 @@ let prop_chaos_deterministic =
           Time.us (2.0 *. Time.to_us (Time.max ff.Strategy.response (ms 1.0)))
         in
         let fault =
-          random_schedule ~seed:(seed + 7)
+          Testutil.random_schedule ~seed:(seed + 7)
             ~n_db:(List.length (Federation.databases fed))
             ~horizon
         in
@@ -758,7 +729,7 @@ let prop_static_legs =
   QCheck.Test.make ~name:"static legs agree with inert dynamic legs" ~count:50
     QCheck.(int_bound 100_000)
     (fun seed ->
-      match make_case seed 0 with
+      match Testutil.chaos_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let site_speeds = if seed mod 2 = 1 then [ (1, 0.5) ] else [] in

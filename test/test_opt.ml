@@ -453,42 +453,6 @@ let test_breaker_forces_ca () =
    byte-identical to running the same jobs with the strategies AUTO chose,
    fixed. Selection only decides which plan executes. *)
 
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        p_host = 1.0;
-        p_attr_present = 0.7;
-        p_null = 0.15;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
-let random_schedule ~seed ~n_db ~horizon =
-  let rng = Rng.create ~seed in
-  let availability = 0.5 +. (0.5 *. Rng.float rng) in
-  let availability = if availability >= 0.999 then 1.0 else availability in
-  let sched =
-    Fault.random ~rng
-      ~sites:(List.init n_db (fun i -> i + 1))
-      ~availability ~horizon ~drop:(0.3 *. Rng.float rng) ()
-  in
-  {
-    sched with
-    Fault.links =
-      { Fault.dst = 0; drop = 0.1; inflate = 1.0; jitter = 0.0 } :: sched.Fault.links;
-  }
-
 let fingerprints out =
   List.map (fun r -> Serve.answer_fingerprint r.Serve.answer) out.Serve.reports
 
@@ -498,7 +462,7 @@ let prop_auto_equals_fixed =
     ~count:60
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      match make_case seed 0 with
+      match Testutil.chaos_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let _, ff = Strategy.run Strategy.Bl fed analysis in
@@ -508,7 +472,7 @@ let prop_auto_equals_fixed =
         let fault =
           if seed mod 3 = 0 then Fault.none
           else
-            random_schedule ~seed:(seed + 11)
+            Testutil.random_schedule ~seed:(seed + 11)
               ~n_db:(List.length (Federation.databases fed))
               ~horizon
         in

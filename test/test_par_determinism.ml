@@ -1,7 +1,8 @@
 (* The parallel determinism contract, property-style: for random sweep
    grids, --jobs 1 and --jobs N produce identical figure tables, identical
    merged metrics snapshots and identical Run_report JSON — byte for byte,
-   because every downstream export is a pure function of the figure data. *)
+   because every downstream export is a pure function of the figure data.
+   The concrete-execution sweeps keep the same contract. *)
 
 open Msdq_exp
 module Json = Msdq_obs.Json
@@ -73,10 +74,46 @@ let test_repeated_batches_stable () =
         Alcotest.(check string) "stable across batches" first (one ())
       done)
 
+(* The concrete-execution sweeps on the shared grid runner: each one's
+   JSON, registry included, is the same without a pool and on four
+   workers. *)
+let test_sweeps_jobs_invariant () =
+  let sweeps =
+    [
+      ( "fault-sweep",
+        fun ?pool registry ->
+          Fault_sweep.to_json (Fault_sweep.run ?pool ~registry ~samples:2 ~seed:7 ()) );
+      ( "recovery-sweep",
+        fun ?pool registry ->
+          Fault_sweep.recovery_to_json
+            (Fault_sweep.run_recovery ?pool ~registry ~samples:1 ~seed:7 ()) );
+      ( "serve-sweep",
+        fun ?pool registry ->
+          Serve_sweep.to_json
+            (Serve_sweep.run ?pool ~registry ~samples:2 ~queries:2 ~seed:7 ()) );
+      ( "gray-sweep",
+        fun ?pool registry ->
+          Gray_sweep.to_json (Gray_sweep.run ?pool ~registry ~queries:2 ~seed:7 ()) );
+    ]
+  in
+  let bytes ?pool run =
+    let registry = Metrics.create () in
+    let doc = run ?pool registry in
+    Json.to_string ~indent:2 (Json.Obj [ ("sweep", doc); ("registry", Metrics.to_json registry) ])
+  in
+  Pool.with_pool ~jobs:4 (fun pool ->
+      List.iter
+        (fun (id, run) ->
+          Alcotest.(check string) (id ^ ": jobs=1 and jobs=4 agree") (bytes run)
+            (bytes ~pool run))
+        sweeps)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_jobs_invariant;
     QCheck_alcotest.to_alcotest prop_average_pool_invariant;
     Alcotest.test_case "repeated batches on one pool" `Quick
       test_repeated_batches_stable;
+    Alcotest.test_case "concrete sweeps at any --jobs" `Quick
+      test_sweeps_jobs_invariant;
   ]

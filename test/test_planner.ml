@@ -97,17 +97,7 @@ let test_choice_quality () =
   let cases =
     List.map
       (fun seed ->
-        let cfg =
-          {
-            Synth.default with
-            Synth.seed;
-            n_entities = 150;
-            p_host = 1.0;
-            p_attr_present = 0.75;
-            p_null = 0.12;
-          }
-        in
-        (Synth.generate cfg, seed))
+        (Synth.generate { Synth.dense with Synth.seed; n_entities = 150 }, seed))
       [ 1; 2; 3; 4 ]
   in
   let query = "select X.key from K0 X where X.p0 = 2 and X.next.p1 = 1" in

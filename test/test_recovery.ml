@@ -200,36 +200,14 @@ let prop_duplicate_verdicts =
 
 (* ---- failover end to end on a synthetic federation ---- *)
 
-let make_case seed attempt_limit =
-  let rec go attempt =
-    if attempt > attempt_limit then None
-    else
-      let cfg =
-        {
-          Synth.default with
-          Synth.seed = (seed * 37) + attempt;
-          p_host = 1.0;
-          p_attr_present = 0.7;
-          p_null = 0.15;
-          p_copy = 0.5;
-        }
-      in
-      let fed = Synth.generate cfg in
-      let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-      let query = Synth.random_query rng cfg ~disjunctive:false in
-      let schema = Global_schema.schema (Federation.global_schema fed) in
-      match Analysis.analyze schema query with
-      | analysis -> Some (fed, analysis)
-      | exception Analysis.Error _ -> go (attempt + 1)
-  in
-  go 0
+let make_case = Synth.case { Synth.default with Synth.p_host = 1.0; p_copy = 0.5 }
 
 (* A component site that never comes back: retry-only demotes every row an
    abandoned batch touched; under the recovery policy only keys no live
    replica answered demote. The seed is pinned to a case where isomeric
    replicas cover the dead site's checks, so the improvement is strict. *)
 let test_failover_recovers () =
-  match make_case 28 20 with
+  match make_case 28 with
   | None -> Alcotest.fail "no analyzable case"
   | Some (fed, analysis) ->
     let ff_answer, _ = Strategy.run Strategy.Bl fed analysis in
@@ -281,7 +259,7 @@ let test_failover_recovers () =
    abandoned batches fail over (here often to the very same target, with
    fresh draws), and the counters surface in the registry. *)
 let test_breaker_counters_surface () =
-  match make_case 9 20 with
+  match make_case 9 with
   | None -> Alcotest.fail "no analyzable case"
   | Some (fed, analysis) ->
     let n_db = List.length (Federation.databases fed) in
@@ -313,19 +291,6 @@ let test_breaker_counters_surface () =
 
 (* ---- chaos: recovery dominance over random schedules ---- *)
 
-let random_schedule ~seed ~n_db ~horizon =
-  let rng = Rng.create ~seed in
-  let availability = 0.5 +. (0.5 *. Rng.float rng) in
-  let drop = 0.3 *. Rng.float rng in
-  let sched =
-    Fault.random ~rng
-      ~sites:(List.init n_db (fun i -> i + 1))
-      ~availability:(Float.min availability 1.0)
-      ~horizon ~drop ()
-  in
-  { sched with
-    Fault.links = { Fault.dst = 0; drop = 0.1; inflate = 1.0; jitter = 0.0 } :: sched.Fault.links }
-
 let localized = [ Strategy.Bl; Strategy.Pl; Strategy.Bls; Strategy.Pls ]
 
 let prop_recovery_dominates =
@@ -334,7 +299,7 @@ let prop_recovery_dominates =
     ~count:200
     QCheck.(int_bound 100_000)
     (fun seed ->
-      match make_case seed 8 with
+      match make_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let recovery =
@@ -349,7 +314,7 @@ let prop_recovery_dominates =
               Time.us (2.0 *. Time.to_us (Time.max ff.Strategy.response (ms 1.0)))
             in
             let fault =
-              random_schedule ~seed:(seed + 31)
+              Testutil.random_schedule ~seed:(seed + 31)
                 ~n_db:(List.length (Federation.databases fed))
                 ~horizon
             in
@@ -374,7 +339,7 @@ let prop_recovery_deterministic =
   QCheck.Test.make ~name:"chaos: recovery runs are reproducible" ~count:10
     QCheck.(int_bound 100_000)
     (fun seed ->
-      match make_case seed 8 with
+      match make_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let _, ff = Strategy.run Strategy.Bl fed analysis in
@@ -382,7 +347,7 @@ let prop_recovery_deterministic =
           Time.us (2.0 *. Time.to_us (Time.max ff.Strategy.response (ms 1.0)))
         in
         let fault =
-          random_schedule ~seed:(seed + 7)
+          Testutil.random_schedule ~seed:(seed + 7)
             ~n_db:(List.length (Federation.databases fed))
             ~horizon
         in

@@ -121,24 +121,6 @@ let test_request_signature () =
     (Checks.request_signature r0)
     (Checks.request_signature r0)
 
-let test_coalesced_requests_bytes () =
-  let fed, analyze = setup () in
-  let analysis = analyze Paper_example.q1 in
-  let reqs = q1_requests fed analysis in
-  let c = Cost.default in
-  let solo = Wire.requests_bytes c reqs in
-  Alcotest.(check int) "one group = payload + one header"
-    (solo + 64)
-    (Wire.coalesced_requests_bytes c ~header_bytes:64 [ reqs ]);
-  Alcotest.(check int) "two groups share one header"
-    ((2 * solo) + 64)
-    (Wire.coalesced_requests_bytes c ~header_bytes:64 [ reqs; reqs ]);
-  Alcotest.(check int) "empty batch is just framing" 64
-    (Wire.coalesced_requests_bytes c ~header_bytes:64 []);
-  (match Wire.coalesced_requests_bytes c ~header_bytes:(-1) [] with
-  | _ -> Alcotest.fail "negative header accepted"
-  | exception Invalid_argument _ -> ())
-
 (* ---- cold serve equals the single-query strategies ---- *)
 
 let serve_strategies =
@@ -194,9 +176,6 @@ let test_validation () =
         [ job ~arrival:(us 10.0) Strategy.Bl analysis; job Strategy.Bl analysis ]);
   rejects "negative arrival" (fun () ->
       Serve.run (config ()) fed [ job ~arrival:(us (-5.0)) Strategy.Bl analysis ]);
-  rejects "negative header" (fun () ->
-      let cfg = { (config ()) with Serve.msg_header_bytes = -1 } in
-      Serve.run cfg fed [ job Strategy.Bl analysis ]);
   rejects "zero deadline" (fun () ->
       let cfg = { (config ()) with Serve.deadline = Some Time.zero } in
       Serve.run cfg fed [ job Strategy.Bl analysis ]);
@@ -684,48 +663,13 @@ let test_unbounded_never_sheds () =
    byte-identical to the cold run's. Fault-free cases additionally match
    Strategy.run. 200+ cases as the acceptance criterion demands. *)
 
-let rec make_case seed attempt =
-  if attempt > 20 then None
-  else
-    let cfg =
-      {
-        Synth.default with
-        Synth.seed = (seed * 37) + attempt;
-        p_host = 1.0;
-        p_attr_present = 0.7;
-        p_null = 0.15;
-        p_copy = 0.4;
-      }
-    in
-    let fed = Synth.generate cfg in
-    let rng = Rng.create ~seed:(seed + (attempt * 1013)) in
-    let query = Synth.random_query rng cfg ~disjunctive:false in
-    let schema = Global_schema.schema (Federation.global_schema fed) in
-    match Analysis.analyze schema query with
-    | analysis -> Some (fed, analysis)
-    | exception Analysis.Error _ -> make_case seed (attempt + 1)
-
-let random_schedule ~seed ~n_db ~horizon =
-  let rng = Rng.create ~seed in
-  let availability = 0.5 +. (0.5 *. Rng.float rng) in
-  let availability = if availability >= 0.999 then 1.0 else availability in
-  let sched =
-    Fault.random ~rng
-      ~sites:(List.init n_db (fun i -> i + 1))
-      ~availability ~horizon ~drop:(0.3 *. Rng.float rng) ()
-  in
-  {
-    sched with
-    Fault.links = { Fault.dst = 0; drop = 0.1; inflate = 1.0; jitter = 0.0 } :: sched.Fault.links;
-  }
-
 let prop_cache_soundness =
   QCheck.Test.make
     ~name:"serve: warm answers byte-identical to cold, incl. faulty schedules"
     ~count:200
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      match make_case seed 0 with
+      match Testutil.chaos_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let strategies = Array.of_list serve_strategies in
@@ -737,7 +681,7 @@ let prop_cache_soundness =
         let fault =
           if seed mod 3 = 0 then Fault.none
           else
-            random_schedule ~seed:(seed + 11)
+            Testutil.random_schedule ~seed:(seed + 11)
               ~n_db:(List.length (Federation.databases fed))
               ~horizon
         in
@@ -791,7 +735,7 @@ let prop_gray_cache_soundness =
     ~count:200
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      match make_case seed 0 with
+      match Testutil.chaos_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let strategies = Array.of_list serve_strategies in
@@ -840,7 +784,7 @@ let prop_deadline_soundness =
     ~count:120
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      match make_case seed 0 with
+      match Testutil.chaos_case seed with
       | None -> true
       | Some (fed, analysis) ->
         let strategies = Array.of_list serve_strategies in
@@ -852,7 +796,7 @@ let prop_deadline_soundness =
         let fault =
           if seed mod 3 = 0 then Fault.none
           else
-            random_schedule ~seed:(seed + 29)
+            Testutil.random_schedule ~seed:(seed + 29)
               ~n_db:(List.length (Federation.databases fed))
               ~horizon
         in
@@ -957,8 +901,6 @@ let suite =
     Alcotest.test_case "lru: oversized and disabled" `Quick
       test_lru_oversized_and_disabled;
     Alcotest.test_case "checks: request signature" `Quick test_request_signature;
-    Alcotest.test_case "wire: coalesced request bytes" `Quick
-      test_coalesced_requests_bytes;
     Alcotest.test_case "cold serve equals Strategy.run" `Quick
       test_cold_equals_strategy;
     Alcotest.test_case "configuration validation" `Quick test_validation;
