@@ -56,4 +56,6 @@ let () =
   ;
   (* Every strategy's answers and metrics on the synthetic federation
      (test/synth_golden.ml). *)
-  write "test/golden/synth_answers.txt" (Synth_golden.render ())
+  write "test/golden/synth_answers.txt" (Synth_golden.render ());
+  (* Four serve streams on the same federation (test/serve_golden.ml). *)
+  write "test/golden/serve_streams.txt" (Serve_golden.render ())

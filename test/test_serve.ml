@@ -894,8 +894,28 @@ let test_overload_sweep_jobs_invariant () =
   Alcotest.(check bool) "pool run bit-identical to the sequential run" true
     (sequential = pooled)
 
+(* ---- the serve golden ----
+
+   Four 40-job streams over the synthetic golden's federation
+   (test/serve_golden.ml): cold, warm, warm under a lossy flapping
+   schedule with a deadline, and AUTO, byte for byte. The faulty stream
+   must keep re-certifying both lost and deadline-doomed check groups.
+   Regenerate with dune exec test/gen_golden.exe only when a number moves
+   on purpose. *)
+let test_serve_golden () =
+  let want =
+    In_channel.with_open_bin "golden/serve_streams.txt" In_channel.input_all
+  in
+  let got = Serve_golden.render () in
+  Alcotest.(check string) "serve streams" want got;
+  Alcotest.(check bool) "a lost check group demotes rows" true
+    (Testutil.contains ~needle:"check batch lost" got);
+  Alcotest.(check bool) "a doomed check group demotes rows" true
+    (Testutil.contains ~needle:"deadline exceeded" got)
+
 let suite =
   [
+    Alcotest.test_case "serve golden streams" `Quick test_serve_golden;
     Alcotest.test_case "lru: eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru: generation invalidation" `Quick test_lru_generation;
     Alcotest.test_case "lru: oversized and disabled" `Quick
