@@ -637,13 +637,8 @@ let no_checks =
     work = Meter.zero;
   }
 
-let local_phase ~parallel ~checks ?signatures ~tracer fed analysis
-    (plan : Localize.db_plan) =
-  let db = plan.Localize.db in
-  let probe =
-    if parallel then Some (Probe.run ~tracer fed analysis ~db) else None
-  in
-  let result = Local_eval.run ~tracer fed analysis ~db in
+let local_phase_of ~probe ~checks ?signatures ~tracer fed analysis
+    (plan : Localize.db_plan) result =
   let built =
     if not checks then no_checks
     else
@@ -655,7 +650,7 @@ let local_phase ~parallel ~checks ?signatures ~tracer fed analysis
             (fun (row : Local_result.row) -> row.Local_result.unsolved)
             result.Local_result.rows
       in
-      Checks.build ?signatures ~tracer fed analysis ~db
+      Checks.build ?signatures ~tracer fed analysis ~db:plan.Localize.db
         ~root_class:plan.Localize.local_class ~items
   in
   {
@@ -669,6 +664,15 @@ let local_phase ~parallel ~checks ?signatures ~tracer fed analysis
       + List.length result.Local_result.rows;
     dispatch_units = built.Checks.goid_lookups + units_of_work built.Checks.work;
   }
+
+let local_phase ~parallel ~checks ?signatures ~tracer fed analysis
+    (plan : Localize.db_plan) =
+  let db = plan.Localize.db in
+  let probe =
+    if parallel then Some (Probe.run ~tracer fed analysis ~db) else None
+  in
+  local_phase_of ~probe ~checks ?signatures ~tracer fed analysis plan
+    (Local_eval.run ~tracer fed analysis ~db)
 
 let check_batches requests =
   let batches = Hashtbl.create 16 in

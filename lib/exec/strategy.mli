@@ -259,6 +259,15 @@ val local_phase :
     rows. [Local_eval.run] runs either way. [checks = false] (LO) builds no
     checks. [signatures] pre-filters the checks (BLS/PLS). *)
 
+val local_phase_of :
+  probe:Probe.t option -> checks:bool -> ?signatures:Sig_catalog.t ->
+  tracer:Msdq_obs.Tracer.t -> Federation.t -> Analysis.t -> Localize.db_plan ->
+  Local_result.t -> local_phase
+(** [local_phase] over a probe ([Some] for PL/PLS) and a local evaluation
+    already run for the database: builds the checks and counts the units.
+    The workload engine runs each database's probe and evaluation once per
+    query and shares them across strategies. *)
+
 val check_batches :
   Checks.request list -> ((string * string) * Checks.request list) list
 (** Check requests grouped per (origin, target) database pair: batches in

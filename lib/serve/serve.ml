@@ -405,13 +405,271 @@ let extent_cache_of caches ~cache_bytes ~site =
       Hashtbl.add caches site c;
       c
 
+(* ------------------------------------------------------------------ *)
+(* The run's memo: the pure parts of [prepare], once per distinct key.
+
+   Local evaluation, probing, check building, check serving, fault-free
+   certification, CA and the planner's predictions depend only on the
+   query and the federation. A run computes each once per distinct key and
+   every later arrival reads the stored value, meter snapshots and unit
+   counts included, so it charges the simulated clock exactly what a fresh
+   computation would. Fates, deadlines, cache consults and provenance stay
+   per arrival, in [prepare]. The memo lives in the run's [intake]: nothing
+   outlives a run or crosses pool domains. *)
+
+(* Queries match by structure, not identity. The printed text is hashed
+   because [Hashtbl.hash] stops before the WHERE clause, and compared too:
+   [=] equates the constants 0.0 and -0.0, which print, and so key their
+   verdicts, differently. *)
+module Query_tbl = Hashtbl.Make (struct
+  type t = string * Ast.t
+
+  let equal (s, q) (s', q') = String.equal s s' && q = q'
+  let hash (s, _) = Hashtbl.hash s
+end)
+
+(* One database's local evaluation of a query, shared by every localized
+   strategy. *)
+type db_memo = {
+  d_result : Local_result.t;
+  d_probe : Probe.t Lazy.t;  (* PL/PLS only *)
+  d_read_bytes : int;  (* the root extent and the objects it references *)
+  d_read_key : string;  (* that read's extent-cache key *)
+}
+
+(* The requests one origin database sends one target, each with its
+   verdict-cache key, and all of them served. *)
+type group_memo = {
+  c_origin : string;
+  c_target : string;
+  c_tsite : int;
+  c_reqs : Checks.request list;
+  c_keys : string list;
+  c_served : Checks.served;
+}
+
+(* A localized strategy's plan of a query. *)
+type plan_memo = {
+  m_locals : (local_db * string) list;
+      (* every field but [l_read_hit], and the read's extent-cache key *)
+  m_groups : group_memo list;
+  m_results : Local_result.t list;
+  m_local_verdicts : Checks.verdict list;
+  m_ff : Certify.outcome;  (* every verdict delivered *)
+}
+
+type ca_memo = {
+  k_outcome : Ca.outcome;
+  k_ships : (string * int * int * string) list;
+      (* db, site, extent bytes, extent-cache key *)
+  k_units : int;  (* integrate + eval + lookups, before cache hits *)
+}
+
+type query_memo = {
+  q_analysis : Analysis.t;  (* the first arrival's; later ones are equal *)
+  q_involved : Involved.t;
+  q_isig : string;
+  q_plans : Localize.db_plan list Lazy.t;
+  q_ca : ca_memo Lazy.t;
+  q_dbs : (string, db_memo) Hashtbl.t;
+  q_strategies : (Strategy.t, plan_memo) Hashtbl.t;
+  q_predicted : (Strategy.t, Time.t * Time.t) Hashtbl.t;
+}
+
+(* A stream's intake, shared by [run] and [run_auto]: the workload
+   registry, the caches, the memo, the admission queue, and the admitted
+   (prepared) and shed queries so far, newest first. *)
+type intake = {
+  wl : Metrics.t;
+  extent_caches : (int, unit Lru.t) Hashtbl.t;
+  verdict_cache : Truth.t Lru.t;
+  signatures : Sig_catalog.t Lazy.t;
+  memo : query_memo Query_tbl.t;
+  adm : admission;
+  mutable admitted : prepared list;
+  mutable shed : shed_report list;
+}
+
+let intake_create ?registry cfg fed =
+  {
+    wl = (match registry with Some r -> r | None -> Metrics.create ());
+    extent_caches = Hashtbl.create 8;
+    verdict_cache = Lru.create ~capacity_bytes:cfg.cache_bytes;
+    signatures = lazy (Sig_catalog.build fed);
+    memo = Query_tbl.create 16;
+    adm = admission_create cfg;
+    admitted = [];
+    shed = [];
+  }
+
+let memo_find tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Hashtbl.add tbl key v;
+      v
+
+let query_memo it (cfg : config) fed tracer (analysis : Analysis.t) =
+  let q = analysis.Analysis.query in
+  let key = (Ast.to_string q, q) in
+  match Query_tbl.find_opt it.memo key with
+  | Some m -> m
+  | None ->
+      let opts = cfg.options in
+      let c = opts.Strategy.cost in
+      let gs = Federation.global_schema fed in
+      let involved = Involved.compute (Global_schema.schema gs) analysis in
+      let isig = involved_sig involved in
+      let ca () =
+        let outcome =
+          Ca.run ~multi_valued:opts.Strategy.multi_valued ~tracer fed analysis
+        in
+        let m = outcome.Ca.materialize_stats in
+        {
+          k_outcome = outcome;
+          k_ships =
+            List.map
+              (fun (db_name, db) ->
+                ( db_name,
+                  Federation.site_of fed db_name,
+                  Wire.projected_extent_bytes c involved gs ~db_name ~db,
+                  Printf.sprintf "ca|%s|%s" db_name isig ))
+              (Federation.databases fed);
+          k_units =
+            m.Materialize.source_objects + m.Materialize.fields_merged
+            + outcome.Ca.goid_lookups
+            + units_of_work outcome.Ca.eval_work;
+        }
+      in
+      let m =
+        {
+          q_analysis = analysis;
+          q_involved = involved;
+          q_isig = isig;
+          q_plans = lazy (Localize.plan fed analysis);
+          q_ca = Lazy.from_fun ca;
+          q_dbs = Hashtbl.create 4;
+          q_strategies = Hashtbl.create 4;
+          q_predicted = Hashtbl.create 4;
+        }
+      in
+      Query_tbl.add it.memo key m;
+      m
+
+let db_memo (cfg : config) fed tracer m db_name =
+  memo_find m.q_dbs db_name @@ fun () ->
+  let analysis = m.q_analysis in
+  let touched = Touch.count fed analysis ~db:db_name in
+  {
+    d_result = Local_eval.run ~tracer fed analysis ~db:db_name;
+    d_probe = lazy (Probe.run ~tracer fed analysis ~db:db_name);
+    d_read_bytes =
+      Wire.localized_read_bytes cfg.options.Strategy.cost m.q_involved
+        (Federation.global_schema fed) ~db_name ~touched;
+    d_read_key = Printf.sprintf "loc|%s|%s" db_name m.q_isig;
+  }
+
+let plan_memo it (cfg : config) fed tracer m st =
+  memo_find m.q_strategies st @@ fun () ->
+  let opts = cfg.options in
+  let c = opts.Strategy.cost in
+  let analysis = m.q_analysis in
+  let parallel = st = Strategy.Pl || st = Strategy.Pls in
+  let signed = st = Strategy.Bls || st = Strategy.Pls in
+  let signatures = if signed then Some (Lazy.force it.signatures) else None in
+  let n_targets = List.length analysis.Analysis.targets in
+  let locals =
+    List.map
+      (fun (plan : Localize.db_plan) ->
+        let d = db_memo cfg fed tracer m plan.Localize.db in
+        let probe = if parallel then Some (Lazy.force d.d_probe) else None in
+        let phase =
+          Strategy.local_phase_of ~probe ~checks:(st <> Strategy.Lo)
+            ?signatures ~tracer fed analysis plan d.d_result
+        in
+        ( {
+            l_db = plan.Localize.db;
+            l_site = Federation.site_of fed plan.Localize.db;
+            l_phase = phase;
+            l_read_bytes = d.d_read_bytes;
+            l_read_hit = false;
+            l_ship_bytes =
+              Wire.results_bytes c ~n_targets phase.Strategy.result
+              + List.length phase.Strategy.built.Checks.local_verdicts
+                * Wire.verdict_bytes c;
+          },
+          d.d_read_key ))
+      (Lazy.force m.q_plans)
+  in
+  let phases = List.map (fun (l, _) -> l.l_phase) locals in
+  let groups =
+    List.map
+      (fun ((origin, target), reqs) ->
+        {
+          c_origin = origin;
+          c_target = target;
+          c_tsite = Federation.site_of fed target;
+          c_reqs = reqs;
+          c_keys = List.map Checks.request_signature reqs;
+          c_served = Checks.serve ~tracer fed ~db:target reqs;
+        })
+      (Strategy.check_batches
+         (List.concat_map
+            (fun phase -> phase.Strategy.built.Checks.requests)
+            phases))
+  in
+  let results = List.map (fun phase -> phase.Strategy.result) phases in
+  let local_verdicts =
+    List.concat_map
+      (fun phase -> phase.Strategy.built.Checks.local_verdicts)
+      phases
+  in
+  {
+    m_locals = locals;
+    m_groups = groups;
+    m_results = results;
+    m_local_verdicts = local_verdicts;
+    m_ff =
+      Certify.run ~multi_valued:opts.Strategy.multi_valued ~tracer fed
+        analysis ~results
+        ~verdicts:
+          (local_verdicts
+          @ List.concat_map (fun g -> g.c_served.Checks.verdicts) groups);
+  }
+
+(* The Planner's (total, response) prediction for [st]. *)
+let predicted_memo (cfg : config) fed m st =
+  memo_find m.q_predicted st @@ fun () ->
+  match
+    Planner.predict ~cost:cfg.options.Strategy.cost ~strategies:[ st ] fed
+      m.q_analysis
+  with
+  | [ pr ] -> (pr.Planner.total, pr.Planner.response)
+  | _ -> (Time.zero, Time.zero)
+
+(* Splits a live group's requests into the wire, its keys and the
+   verdict-cache hits, each in request order. A hit whose truth differs
+   from the served verdict sets [stale]. *)
+let consult_verdicts cache ~gen ~stale g =
+  let rec go reqs keys served wire wire_keys hits =
+    match (reqs, keys, served) with
+    | r :: reqs, key :: keys, (v : Checks.verdict) :: served -> (
+        match Lru.find cache ~gen key with
+        | Some truth ->
+            if not (Truth.equal truth v.Checks.truth) then stale := true;
+            go reqs keys served wire wire_keys ({ v with Checks.truth } :: hits)
+        | None -> go reqs keys served (r :: wire) (key :: wire_keys) hits)
+    | _ -> (List.rev wire, List.rev wire_keys, List.rev hits)
+  in
+  go g.c_reqs g.c_keys g.c_served.Checks.verdicts [] [] []
+
 (* [qdelay] is the admission queue's predicted queueing delay for this
    query and [predicted] the Planner-predicted response of its strategy;
    both are zero when neither deadline nor queue limit is configured.
    Together with each group's retry waits they decide — at admission,
    timing-independently — which check round trips the deadline abandons. *)
-let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
-    ~signatures ~qdelay ~predicted index (j : job) =
+let prepare (cfg : config) fed tracer it m ~qdelay ~predicted index (j : job) =
   let deadline =
     match j.deadline with Some _ as d -> d | None -> cfg.deadline
   in
@@ -419,11 +677,8 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
   let sched = opts.Strategy.fault in
   let c = opts.Strategy.cost in
   let caching = cfg.cache_bytes > 0 in
-  let gs = Federation.global_schema fed in
   let gsite = Federation.global_site fed in
-  let analysis = j.analysis in
-  let involved = Involved.compute (Global_schema.schema gs) analysis in
-  let isig = involved_sig involved in
+  let verdict_cache = it.verdict_cache in
   let at = j.arrival in
   let registry = Metrics.create () in
   let extent_hits = ref 0 in
@@ -435,16 +690,16 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
     Fault.generation sched ~site:holder ~at
     + if source = holder then 0 else Fault.generation sched ~site:source ~at
   in
-  (* Consults [site]'s extent cache for the [kind] ("ca" or "loc") read of
-     [db_name]'s involved extents, derived from [source]'s data; a miss
-     stores a [bytes]-sized entry. Counts and returns the hit. *)
-  let extent_hit ~site ~source ~kind ~db_name ~bytes =
+  (* Consults [site]'s extent cache for [key], a read of [source]'s data;
+     a miss stores a [bytes]-sized entry. Counts and returns the hit. *)
+  let extent_hit ~site ~source ~key ~bytes =
     let hit =
       caching
       &&
-      let cache = extent_cache_of extent_caches ~cache_bytes:cfg.cache_bytes ~site in
+      let cache =
+        extent_cache_of it.extent_caches ~cache_bytes:cfg.cache_bytes ~site
+      in
       let gen = gen ~holder:site ~source in
-      let key = Printf.sprintf "%s|%s|%s" kind db_name isig in
       match Lru.find cache ~gen key with
       | Some () -> true
       | None ->
@@ -457,30 +712,21 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
   match j.strategy with
   | Strategy.Cf -> assert false (* rejected by [validate] *)
   | Strategy.Ca ->
-      let outcome = Ca.run ~multi_valued:opts.Strategy.multi_valued ~tracer fed analysis in
+      let k = Lazy.force m.q_ca in
       let ca_ships =
         List.map
-          (fun (db_name, db) ->
-            let site = Federation.site_of fed db_name in
-            let bytes = Wire.projected_extent_bytes c involved gs ~db_name ~db in
-            let hit = extent_hit ~site:gsite ~source:site ~kind:"ca" ~db_name ~bytes in
-            (db_name, site, bytes, hit))
-          (Federation.databases fed)
+          (fun (db_name, site, bytes, key) ->
+            (db_name, site, bytes, extent_hit ~site:gsite ~source:site ~key ~bytes))
+          k.k_ships
       in
-      let m = outcome.Ca.materialize_stats in
-      let ca_units =
-        m.Materialize.source_objects + m.Materialize.fields_merged
-        + outcome.Ca.goid_lookups
-        + units_of_work outcome.Ca.eval_work
-        + !extent_hits
-      in
+      let ca_units = k.k_units + !extent_hits in
       {
         p_index = index;
         p_strategy = j.strategy;
         p_arrival = at;
         p_deadline = deadline;
         p_plan = Centralized { ca_ships; ca_units };
-        p_answer = outcome.Ca.answer;
+        p_answer = k.k_outcome.Ca.answer;
         p_certify_units = ca_units;
         p_extent_hits = !extent_hits;
         p_verdict_hits = 0;
@@ -488,46 +734,26 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
         p_registry = registry;
       }
   | (Strategy.Bl | Strategy.Pl | Strategy.Bls | Strategy.Pls | Strategy.Lo) as st ->
-      let parallel = st = Strategy.Pl || st = Strategy.Pls in
-      let signed = st = Strategy.Bls || st = Strategy.Pls in
-      let checks_on = st <> Strategy.Lo in
-      let signatures = if signed then Some (Lazy.force signatures) else None in
-      let plans = Localize.plan fed analysis in
-      let n_targets = List.length analysis.Analysis.targets in
+      let pm = plan_memo it cfg fed tracer m st in
       let locals =
         List.map
-          (fun (plan : Localize.db_plan) ->
-            let db_name = plan.Localize.db in
-            let site = Federation.site_of fed db_name in
-            let touched = Touch.count fed analysis ~db:db_name in
-            let read_bytes =
-              Wire.localized_read_bytes c involved gs ~db_name ~touched
-            in
-            let read_hit =
-              extent_hit ~site ~source:site ~kind:"loc" ~db_name ~bytes:read_bytes
-            in
-            let phase =
-              Strategy.local_phase ~parallel ~checks:checks_on ?signatures
-                ~tracer fed analysis plan
-            in
+          (fun (l, key) ->
             {
-              l_db = db_name;
-              l_site = site;
-              l_phase = phase;
-              l_read_bytes = read_bytes;
-              l_read_hit = read_hit;
-              l_ship_bytes =
-                Wire.results_bytes c ~n_targets phase.Strategy.result
-                + List.length phase.Strategy.built.Checks.local_verdicts
-                  * Wire.verdict_bytes c;
+              l with
+              l_read_hit =
+                extent_hit ~site:l.l_site ~source:l.l_site ~key
+                  ~bytes:l.l_read_bytes;
             })
-          plans
+          pm.m_locals
       in
       let retry = opts.Strategy.retry in
+      let stale = ref false in
       let groups =
         List.map
-          (fun ((origin, target), reqs) ->
-            let tsite = Federation.site_of fed target in
+          (fun g ->
+            let origin = g.c_origin and target = g.c_target in
+            let tsite = g.c_tsite in
+            let reqs = g.c_reqs in
             (* Fate first — a doomed round trip never consults the cache,
                so warm demotions coincide with cold ones. *)
             let req_leg =
@@ -561,52 +787,37 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
               | Some budget -> Time.compare est budget > 0
             in
             let dead = lost || doomed in
-            let wire, hits =
-              if dead || not caching then (reqs, [])
+            let wire, wire_keys, hits =
+              if dead || not caching then (reqs, g.c_keys, [])
               else
-                let g = gen ~holder:gsite ~source:tsite in
-                List.fold_left
-                  (fun (wire, hits) (r : Checks.request) ->
-                    match
-                      Lru.find verdict_cache ~gen:g (Checks.request_signature r)
-                    with
-                    | Some truth ->
-                        ( wire,
-                          {
-                            Checks.origin_db = r.Checks.origin_db;
-                            item = r.Checks.item;
-                            atom = r.Checks.atom;
-                            truth;
-                          }
-                          :: hits )
-                    | None -> (r :: wire, hits))
-                  ([], []) reqs
-                |> fun (w, h) -> (List.rev w, List.rev h)
+                consult_verdicts verdict_cache
+                  ~gen:(gen ~holder:gsite ~source:tsite) ~stale g
             in
             verdict_hits := !verdict_hits + List.length hits;
             (* Serve the shipped subset; with the cache hits it makes the
                full set that anchors the fault-free reference answer. With
                no hit (a dead round trip, caching off or all misses) the
-               wire is every request already. *)
-            let served_wire = Checks.serve ~tracer fed ~db:target wire in
-            let full = hits @ served_wire.Checks.verdicts in
-            if (not dead) && caching then
+               wire is every request, served once in the memo. *)
+            let served_wire =
+              if hits = [] then g.c_served
+              else Checks.serve ~tracer fed ~db:target wire
+            in
+            if (not dead) && caching then begin
+              let gen = gen ~holder:gsite ~source:tsite in
               List.iter2
-                (fun (r : Checks.request) (v : Checks.verdict) ->
-                  let g = gen ~holder:gsite ~source:tsite in
-                  Lru.add verdict_cache ~gen:g
-                    ~key:(Checks.request_signature r)
-                    ~bytes:(Wire.verdict_bytes c) v.Checks.truth)
-                wire served_wire.Checks.verdicts;
+                (fun key (v : Checks.verdict) ->
+                  Lru.add verdict_cache ~gen ~key ~bytes:(Wire.verdict_bytes c)
+                    v.Checks.truth)
+                wire_keys served_wire.Checks.verdicts
+            end;
             {
               g_origin = origin;
               g_target = target;
               g_all = reqs;
-              g_wire = (if dead then reqs else wire);
-              g_hits = (if dead then [] else hits);
-              g_full_verdicts = full;
-              g_wire_read_bytes =
-                Wire.check_read_bytes c (if dead then reqs else wire);
+              g_wire = wire;
+              g_hits = hits;
+              g_full_verdicts = hits @ served_wire.Checks.verdicts;
+              g_wire_read_bytes = Wire.check_read_bytes c wire;
               g_wire_serve_units = units_of_work served_wire.Checks.work;
               g_wire_verdicts = List.length served_wire.Checks.verdicts;
               g_req_leg = req_leg;
@@ -614,25 +825,24 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
               g_doomed = doomed;
               g_deadline_est = (if doomed then est else Time.zero);
             })
-          (Strategy.check_batches
-             (List.concat_map
-                (fun l -> l.l_phase.Strategy.built.Checks.requests)
-                locals))
+          pm.m_groups
       in
       (* Certification: the fault-free reference uses every verdict; lost
-         batches are withheld to find exactly which rows demote. *)
-      let results = List.map (fun l -> l.l_phase.Strategy.result) locals in
-      let local_verdicts =
-        List.concat_map
-          (fun l -> l.l_phase.Strategy.built.Checks.local_verdicts)
-          locals
-      in
-      let full_verdicts =
-        local_verdicts @ List.concat_map (fun g -> g.g_full_verdicts) groups
+         batches are withheld to find exactly which rows demote. Cache
+         hits change only simulated time, never a verdict, so the memo's
+         certification over every served verdict stands for this arrival's
+         — unless a hit disagreed with its served verdict. *)
+      let results = pm.m_results in
+      let local_verdicts = pm.m_local_verdicts in
+      let certify verdicts =
+        Certify.run ~multi_valued:opts.Strategy.multi_valued ~tracer fed
+          m.q_analysis ~results ~verdicts
       in
       let ff =
-        Certify.run ~multi_valued:opts.Strategy.multi_valued ~tracer fed
-          analysis ~results ~verdicts:full_verdicts
+        if not !stale then pm.m_ff
+        else
+          certify
+            (local_verdicts @ List.concat_map (fun g -> g.g_full_verdicts) groups)
       in
       let lost_groups = List.filter group_lost groups in
       let doomed_groups =
@@ -655,11 +865,7 @@ let prepare (cfg : config) fed tracer ~extent_caches ~verdict_cache
                   (fun g -> if keep g then g.g_full_verdicts else [])
                   groups
             in
-            let r =
-              Certify.run ~multi_valued:opts.Strategy.multi_valued ~tracer fed
-                analysis ~results ~verdicts
-            in
-            Answer.goids r.Certify.answer Answer.Certain
+            Answer.goids (certify verdicts).Certify.answer Answer.Certain
           in
           let ff_certain = Answer.goids ff.Certify.answer Answer.Certain in
           let fault_certain =
@@ -1258,30 +1464,6 @@ let record_task_histograms wl entries =
       | _ -> ())
     entries
 
-(* A stream's intake, shared by [run] and [run_auto]: the workload
-   registry, the caches, the admission queue, and the admitted (prepared)
-   and shed queries so far, newest first. *)
-type intake = {
-  wl : Metrics.t;
-  extent_caches : (int, unit Lru.t) Hashtbl.t;
-  verdict_cache : Truth.t Lru.t;
-  signatures : Sig_catalog.t Lazy.t;
-  adm : admission;
-  mutable admitted : prepared list;
-  mutable shed : shed_report list;
-}
-
-let intake_create ?registry cfg fed =
-  {
-    wl = (match registry with Some r -> r | None -> Metrics.create ());
-    extent_caches = Hashtbl.create 8;
-    verdict_cache = Lru.create ~capacity_bytes:cfg.cache_bytes;
-    signatures = lazy (Sig_catalog.build fed);
-    adm = admission_create cfg;
-    admitted = [];
-    shed = [];
-  }
-
 let shed_query it cfg ~index ~strategy ~arrival =
   it.shed <-
     {
@@ -1303,13 +1485,10 @@ let evict it cfg = function
             ~arrival:vp.p_arrival
       | None -> ())
 
-let admit_query it cfg fed tracer ~args ~qdelay ~predicted index job =
+let admit_query it cfg fed tracer m ~args ~qdelay ~predicted index job =
   let p =
     Tracer.with_span tracer ~cat:"serve" ~args "serve.prepare.query"
-    @@ fun () ->
-    prepare cfg fed tracer ~extent_caches:it.extent_caches
-      ~verdict_cache:it.verdict_cache ~signatures:it.signatures ~qdelay
-      ~predicted index job
+    @@ fun () -> prepare cfg fed tracer it m ~qdelay ~predicted index job
   in
   it.admitted <- p :: it.admitted;
   p
@@ -1318,7 +1497,7 @@ let admit_query it cfg fed tracer ~args ~qdelay ~predicted index job =
    and assemble the outcome. Shared by {!run} (fixed per-job strategies)
    and {!run_auto} (per-query optimizer decisions) — both prepare first,
    then execute, so AUTO can never change what is answered, only when. *)
-let execute ~tracer ~trace cfg fed it =
+let execute ~tracer ~trace cfg fed (it : intake) =
   let wl = it.wl in
   let extent_caches = it.extent_caches and verdict_cache = it.verdict_cache in
   let shed = List.sort (fun a b -> compare a.s_index b.s_index) it.shed in
@@ -1554,16 +1733,10 @@ let run ?(tracer = Tracer.disabled) ?registry ?(trace = false) cfg fed jobs =
     cfg.deadline <> None || cfg.queue_limit <> None
     || List.exists (fun (j : job) -> j.deadline <> None) jobs
   in
-  let predicted_of st analysis =
-    if not need_pred then (Time.zero, Time.zero)
-    else
-      match Planner.predict ~cost ~strategies:[ st ] fed analysis with
-      | [ pr ] -> (pr.Planner.total, pr.Planner.response)
-      | _ -> (Time.zero, Time.zero)
-  in
   Tracer.with_span tracer ~cat:"serve" "serve.prepare" (fun () ->
       List.iteri
         (fun i (j : job) ->
+          let m = query_memo it cfg fed tracer j.analysis in
           let deadline =
             match j.deadline with Some _ as d -> d | None -> cfg.deadline
           in
@@ -1574,14 +1747,16 @@ let run ?(tracer = Tracer.disabled) ?registry ?(trace = false) cfg fed jobs =
                 fst
                   (Planner.choose ~cost ~strategies:Optimizer.candidates
                      ~objective:Planner.Response_time fed j.analysis))
-              ~predicted:(fun st -> predicted_of st j.analysis)
+              ~predicted:(fun st ->
+                if need_pred then predicted_memo cfg fed m st
+                else (Time.zero, Time.zero))
           with
           | `Shed ->
               shed_query it cfg ~index:i ~strategy:j.strategy ~arrival:j.arrival
           | `Admit (st, qdelay, response, evicted) ->
               evict it cfg evicted;
               ignore
-                (admit_query it cfg fed tracer
+                (admit_query it cfg fed tracer m
                    ~args:[ ("query", string_of_int i) ]
                    ~qdelay ~predicted:response i
                    { j with strategy = st }))
@@ -1620,7 +1795,6 @@ let run_auto ?(tracer = Tracer.disabled) ?registry ?(trace = false) ?store
   let it = intake_create ?registry cfg fed in
   let wl = it.wl in
   let sched = cfg.options.Strategy.fault in
-  let cost = cfg.options.Strategy.cost in
   let breaker =
     Recovery.Breaker.create
       ~threshold:cfg.options.Strategy.recovery.Recovery.breaker_threshold
@@ -1680,6 +1854,7 @@ let run_auto ?(tracer = Tracer.disabled) ?registry ?(trace = false) ?store
             ->
               bump wl "msdq_gray_fallbacks_total" [] 1
           | _ -> ());
+          let m = query_memo it cfg fed tracer analysis in
           let predicted_of st =
             match
               List.find_opt
@@ -1687,10 +1862,7 @@ let run_auto ?(tracer = Tracer.disabled) ?registry ?(trace = false) ?store
                 d.Optimizer.predictions
             with
             | Some pr -> (pr.Planner.total, pr.Planner.response)
-            | None -> (
-                match Planner.predict ~cost ~strategies:[ st ] fed analysis with
-                | [ pr ] -> (pr.Planner.total, pr.Planner.response)
-                | _ -> (Time.zero, Time.zero))
+            | None -> predicted_memo cfg fed m st
           in
           match
             admission_step it.adm cfg ~index:i ~arrival ~deadline:cfg.deadline
@@ -1735,7 +1907,7 @@ let run_auto ?(tracer = Tracer.disabled) ?registry ?(trace = false) ?store
                 }
                 :: !rev_decisions;
               let p =
-                admit_query it cfg fed tracer
+                admit_query it cfg fed tracer m
                   ~args:
                     [
                       ("query", string_of_int i);
