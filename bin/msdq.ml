@@ -134,6 +134,18 @@ let queries_arg ~doc =
 let arrival_arg ~doc =
   Arg.(value & opt float 50.0 & info [ "arrival" ] ~docv:"RATE" ~doc)
 
+(* [Some flag] when the command line sets any argument of [t]. *)
+let given flag t =
+  Term.(
+    const (fun (_, used) -> if used = [] then None else Some flag)
+    $ with_used_args t)
+
+(* The names among [flags] that the command line sets, in list order. *)
+let given_names flags =
+  List.fold_right
+    (fun flag acc -> Term.(const (fun g rest -> Option.to_list g @ rest) $ flag $ acc))
+    flags (Term.const [])
+
 let check_stream ~queries ~arrival =
   if queries < 1 then fail "--queries must be >= 1";
   if arrival <= 0.0 || Float.is_nan arrival then
@@ -792,10 +804,13 @@ let dashboard_frames (out : Msdq_serve.Serve.outcome) =
 
 let serve queries arrival cache_mb window_us deadline_ms queue_limit
     shed_policy strategy data synthetic seed sweep samples jobs drop inflate
-    flap_ms adaptive json dashboard store trace_out src =
+    flap_ms adaptive json dashboard store trace_out src stream_flags =
   let module Serve = Msdq_serve.Serve in
   let module Lru = Msdq_serve.Lru in
   if sweep then begin
+    (match stream_flags with
+    | name :: _ -> fail "%s sets up one stream; --sweep does not take it" name
+    | [] -> ());
     check_samples samples;
     with_pool jobs @@ fun pool ->
     let sweep = Serve_sweep.run ?pool ~samples ~seed () in
@@ -1207,6 +1222,31 @@ let serve_cmd =
          task and transfer carries its query's trace id, and flow events draw \
          the causal edges across sites."
   in
+  (* The sweep draws its own streams: it refuses every flag that sets up
+     one stream. *)
+  let stream_flags =
+    given_names
+      [
+        given "QUERY" stream_query_arg;
+        given "--queries" queries;
+        given "--arrival" arrival;
+        given "--cache-mb" cache_mb;
+        given "--window" window;
+        given "--deadline" deadline;
+        given "--queue-limit" queue_limit;
+        given "--shed-policy" shed_policy;
+        given "--strategy" strategy;
+        given "--data" data_arg;
+        given "--synthetic" synthetic;
+        given "--drop" serve_drop;
+        given "--inflate" serve_inflate;
+        given "--flap-ms" serve_flap;
+        given "--adaptive" serve_adaptive;
+        given "--dashboard" dashboard;
+        given "--store" store_arg;
+        given "--trace-out" serve_trace_out;
+      ]
+  in
   let term =
     with_logs
       Term.(
@@ -1215,7 +1255,7 @@ let serve_cmd =
          $ queue_limit $ shed_policy $ strategy $ data_arg $ synthetic
          $ seed_arg $ sweep_flag $ samples $ jobs $ serve_drop
          $ serve_inflate $ serve_flap $ serve_adaptive $ json_arg $ dashboard
-         $ store_arg $ serve_trace_out $ stream_query_arg))
+         $ store_arg $ serve_trace_out $ stream_query_arg $ stream_flags))
   in
   Cmd.v
     (Cmd.info "serve"

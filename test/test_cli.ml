@@ -2,7 +2,9 @@
    below 1 would average over nothing, so each command that takes
    --samples refuses it with a readable message and exit code 1; so do
    generate's sizes, validate's seed count, serve's flapping period and
-   cache size, and the link-fault knobs of serve and the sweeps. *)
+   cache size, and the link-fault knobs of serve and the sweeps. serve
+   --sweep draws its own streams, so it refuses every flag that sets up
+   one stream instead of ignoring it. *)
 
 let msdq_exe =
   Filename.concat (Filename.dirname Sys.executable_name) "../bin/msdq.exe"
@@ -69,6 +71,42 @@ let suite =
         let needle = "--cache-mb must be finite and below 2^42 MiB" in
         rejects ~needle [ "serve"; "--cache-mb=inf" ] ();
         rejects ~needle [ "serve"; "--cache-mb=1e13" ] ());
+    Alcotest.test_case "serve --sweep refuses the single-stream flags" `Quick
+      (fun () ->
+        let store = Filename.temp_file "msdq_cli" ".json" in
+        let trace = Filename.temp_file "msdq_cli" ".json" in
+        Sys.remove store;
+        Sys.remove trace;
+        List.iter
+          (fun (flag, args) ->
+            rejects
+              ~needle:(flag ^ " sets up one stream; --sweep does not take it")
+              ([ "serve"; "--sweep"; "--samples"; "1" ] @ args)
+              ())
+          [
+            ("QUERY", [ Msdq_fed.Paper_example.q1 ]);
+            ("--queries", [ "--queries"; "3"; "--json" ]);
+            ("--queries", [ "-n"; "3" ]);
+            ("--arrival", [ "--arrival"; "10" ]);
+            ("--cache-mb", [ "--cache-mb"; "0" ]);
+            ("--window", [ "--window"; "500" ]);
+            ("--deadline", [ "--deadline"; "5" ]);
+            ("--queue-limit", [ "--queue-limit"; "1" ]);
+            ("--shed-policy", [ "--shed-policy"; "degrade" ]);
+            ("--strategy", [ "--strategy"; "CA" ]);
+            ("--data", [ "--data"; Sys.executable_name ]);
+            ("--synthetic", [ "--synthetic" ]);
+            ("--drop", [ "--drop"; "0.1" ]);
+            ("--inflate", [ "--inflate"; "2" ]);
+            ("--flap-ms", [ "--flap-ms"; "3" ]);
+            ("--adaptive", [ "--adaptive" ]);
+            ("--dashboard", [ "--dashboard" ]);
+            ("--store", [ "--store"; store ]);
+            ("--trace-out", [ "--trace-out"; trace ]);
+          ];
+        Alcotest.(check bool) "--store wrote no file" false (Sys.file_exists store);
+        Alcotest.(check bool) "--trace-out wrote no file" false
+          (Sys.file_exists trace));
     Alcotest.test_case "validate rejects --seeds 0 and -3" `Quick (fun () ->
         let needle = "--seeds must be >= 1" in
         rejects ~needle [ "validate"; "--seeds"; "0" ] ();
