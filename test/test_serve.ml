@@ -913,9 +913,98 @@ let test_serve_golden () =
   Alcotest.(check bool) "a doomed check group demotes rows" true
     (Testutil.contains ~needle:"deadline exceeded" got)
 
+(* ---- the per-run memo ----
+
+   Serve prepares each distinct query once per run, keyed by the query's
+   structure. Separately parsed copies of one text must share the memo
+   without changing a number, and queries one constant apart must never
+   share an answer. *)
+
+let golden_analyze =
+  let fed = Synth_golden.federation () in
+  let schema = Global_schema.schema (Federation.global_schema fed) in
+  fun where ->
+    Analysis.analyze schema
+      (Parser.parse ("select X.key, X.next.p1 from K0 X where " ^ where))
+
+let stream_summary (o : Serve.outcome) =
+  ( List.map
+      (fun (r : Serve.query_report) ->
+        ( Serve.answer_fingerprint r.Serve.answer,
+          Oid.Goid.Set.elements (Answer.cached r.Serve.answer),
+          Time.to_us r.Serve.latency,
+          (r.Serve.extent_hits, r.Serve.verdict_hits, r.Serve.deadline_demoted) ))
+      o.Serve.reports,
+    (Time.to_us o.Serve.makespan, o.Serve.messages, o.Serve.coalesced_checks),
+    (o.Serve.extent_cache, o.Serve.verdict_cache) )
+
+let test_memo_keys_by_structure () =
+  let fed = Synth_golden.federation () in
+  let shared =
+    Serve_golden.jobs (Array.of_list (List.map golden_analyze Synth_golden.queries))
+  in
+  let parsed =
+    List.mapi
+      (fun i (j : Serve.job) ->
+        let analysis = golden_analyze (List.nth Synth_golden.queries (i mod 8)) in
+        Alcotest.(check bool) "a separate parse" false (analysis == j.Serve.analysis);
+        { j with Serve.analysis })
+      shared
+  in
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check bool)
+        (name ^ ": separate parses run like shared analyses")
+        true
+        (stream_summary (Serve.run cfg fed shared)
+        = stream_summary (Serve.run cfg fed parsed)))
+    [
+      ("cold", Serve_golden.cold);
+      ("warm", Serve_golden.warm);
+      ("faulty", Serve_golden.faulty fed);
+    ]
+
+let test_memo_tells_constants_apart () =
+  let fed = Synth_golden.federation () in
+  List.iter
+    (fun (a, b) ->
+      let qa = golden_analyze a and qb = golden_analyze b in
+      let solo s q = Serve.answer_fingerprint (fst (Strategy.run s fed q)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S and %S answer differently" a b)
+        false
+        (solo Strategy.Bl qa = solo Strategy.Bl qb);
+      let jobs =
+        List.init 12 (fun i ->
+            job
+              ~arrival:(ms (2.0 *. float_of_int i))
+              (List.nth serve_strategies (i / 2 mod 6))
+              (if i mod 2 = 0 then qa else qb))
+      in
+      List.iter
+        (fun cfg ->
+          List.iter
+            (fun (r : Serve.query_report) ->
+              let q = if r.Serve.index mod 2 = 0 then qa else qb in
+              Alcotest.(check string)
+                (Printf.sprintf "job %d answers its own query" r.Serve.index)
+                (solo r.Serve.strategy q)
+                (Serve.answer_fingerprint r.Serve.answer))
+            (Serve.run cfg fed jobs).Serve.reports)
+        [ Serve_golden.cold; Serve_golden.warm ])
+    [
+      ("X.p0 = 1", "X.p0 = 2");
+      ( "X.p0 <> 0 and X.next.p1 = 1 and X.next.next.p0 = 2",
+        "X.p0 <> 0 and X.next.p1 = 1 and X.next.next.p0 = 3" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "serve golden streams" `Quick test_serve_golden;
+    Alcotest.test_case "memo: separate parses share it" `Quick
+      test_memo_keys_by_structure;
+    Alcotest.test_case "memo: one constant apart never shares" `Quick
+      test_memo_tells_constants_apart;
     Alcotest.test_case "lru: eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru: generation invalidation" `Quick test_lru_generation;
     Alcotest.test_case "lru: oversized and disabled" `Quick
