@@ -417,34 +417,38 @@ let extent_cache_of caches ~cache_bytes ~site =
    per arrival, in [prepare]. The memo lives in the run's [intake]: nothing
    outlives a run or crosses pool domains. *)
 
-(* Queries match by structure, not identity. The printed text is hashed
-   because [Hashtbl.hash] stops before the WHERE clause, and compared too:
-   [=] equates the constants 0.0 and -0.0, which print, and so key their
-   verdicts, differently. *)
+(* Queries match by structure, not identity. The hash looks deep enough to
+   reach the WHERE clause, where [Hashtbl.hash] stops short of the
+   constants that tell the benchmark's queries apart. Equal structures
+   also compare their printed text: [=] equates the constants 0.0 and
+   -0.0, which print, and so key their verdicts, differently. *)
 module Query_tbl = Hashtbl.Make (struct
-  type t = string * Ast.t
+  type t = Ast.t
 
-  let equal (s, q) (s', q') = String.equal s s' && q = q'
-  let hash (s, _) = Hashtbl.hash s
+  let equal q q' =
+    q == q' || (q = q' && String.equal (Ast.to_string q) (Ast.to_string q'))
+
+  let hash q = Hashtbl.hash_param 256 256 q
 end)
 
 (* One database's local evaluation of a query, shared by every localized
-   strategy. *)
+   strategy. PL and PLS each probe for themselves: a kept probe would hold
+   every root object's blocked items until the run ends. *)
 type db_memo = {
   d_result : Local_result.t;
-  d_probe : Probe.t Lazy.t;  (* PL/PLS only *)
   d_read_bytes : int;  (* the root extent and the objects it references *)
   d_read_key : string;  (* that read's extent-cache key *)
 }
 
 (* The requests one origin database sends one target, each with its
-   verdict-cache key, and all of them served. *)
+   verdict-cache key (made only when a cache is consulted), and all of
+   them served. *)
 type group_memo = {
   c_origin : string;
   c_target : string;
   c_tsite : int;
   c_reqs : Checks.request list;
-  c_keys : string list;
+  c_keys : string list Lazy.t;
   c_served : Checks.served;
 }
 
@@ -512,8 +516,7 @@ let memo_find tbl key compute =
 
 let query_memo it (cfg : config) fed tracer (analysis : Analysis.t) =
   let q = analysis.Analysis.query in
-  let key = (Ast.to_string q, q) in
-  match Query_tbl.find_opt it.memo key with
+  match Query_tbl.find_opt it.memo q with
   | Some m -> m
   | None ->
       let opts = cfg.options in
@@ -554,7 +557,7 @@ let query_memo it (cfg : config) fed tracer (analysis : Analysis.t) =
           q_predicted = Hashtbl.create 4;
         }
       in
-      Query_tbl.add it.memo key m;
+      Query_tbl.add it.memo q m;
       m
 
 let db_memo (cfg : config) fed tracer m db_name =
@@ -563,7 +566,6 @@ let db_memo (cfg : config) fed tracer m db_name =
   let touched = Touch.count fed analysis ~db:db_name in
   {
     d_result = Local_eval.run ~tracer fed analysis ~db:db_name;
-    d_probe = lazy (Probe.run ~tracer fed analysis ~db:db_name);
     d_read_bytes =
       Wire.localized_read_bytes cfg.options.Strategy.cost m.q_involved
         (Federation.global_schema fed) ~db_name ~touched;
@@ -582,15 +584,18 @@ let plan_memo it (cfg : config) fed tracer m st =
   let locals =
     List.map
       (fun (plan : Localize.db_plan) ->
-        let d = db_memo cfg fed tracer m plan.Localize.db in
-        let probe = if parallel then Some (Lazy.force d.d_probe) else None in
+        let db = plan.Localize.db in
+        let d = db_memo cfg fed tracer m db in
+        let probe =
+          if parallel then Some (Probe.run ~tracer fed analysis ~db) else None
+        in
         let phase =
           Strategy.local_phase_of ~probe ~checks:(st <> Strategy.Lo)
             ?signatures ~tracer fed analysis plan d.d_result
         in
         ( {
-            l_db = plan.Localize.db;
-            l_site = Federation.site_of fed plan.Localize.db;
+            l_db = db;
+            l_site = Federation.site_of fed db;
             l_phase = phase;
             l_read_bytes = d.d_read_bytes;
             l_read_hit = false;
@@ -611,7 +616,7 @@ let plan_memo it (cfg : config) fed tracer m st =
           c_target = target;
           c_tsite = Federation.site_of fed target;
           c_reqs = reqs;
-          c_keys = List.map Checks.request_signature reqs;
+          c_keys = lazy (List.map Checks.request_signature reqs);
           c_served = Checks.serve ~tracer fed ~db:target reqs;
         })
       (Strategy.check_batches
@@ -662,7 +667,7 @@ let consult_verdicts cache ~gen ~stale g =
         | None -> go reqs keys served (r :: wire) (key :: wire_keys) hits)
     | _ -> (List.rev wire, List.rev wire_keys, List.rev hits)
   in
-  go g.c_reqs g.c_keys g.c_served.Checks.verdicts [] [] []
+  go g.c_reqs (Lazy.force g.c_keys) g.c_served.Checks.verdicts [] [] []
 
 (* [qdelay] is the admission queue's predicted queueing delay for this
    query and [predicted] the Planner-predicted response of its strategy;
@@ -786,12 +791,12 @@ let prepare (cfg : config) fed tracer it m ~qdelay ~predicted index (j : job) =
               | None -> false
               | Some budget -> Time.compare est budget > 0
             in
-            let dead = lost || doomed in
+            let live = caching && not (lost || doomed) in
+            let vgen = gen ~holder:gsite ~source:tsite in
+            (* Only a live group's wire keys are ever inserted. *)
             let wire, wire_keys, hits =
-              if dead || not caching then (reqs, g.c_keys, [])
-              else
-                consult_verdicts verdict_cache
-                  ~gen:(gen ~holder:gsite ~source:tsite) ~stale g
+              if live then consult_verdicts verdict_cache ~gen:vgen ~stale g
+              else (reqs, [], [])
             in
             verdict_hits := !verdict_hits + List.length hits;
             (* Serve the shipped subset; with the cache hits it makes the
@@ -802,14 +807,12 @@ let prepare (cfg : config) fed tracer it m ~qdelay ~predicted index (j : job) =
               if hits = [] then g.c_served
               else Checks.serve ~tracer fed ~db:target wire
             in
-            if (not dead) && caching then begin
-              let gen = gen ~holder:gsite ~source:tsite in
+            if live then
               List.iter2
                 (fun key (v : Checks.verdict) ->
-                  Lru.add verdict_cache ~gen ~key ~bytes:(Wire.verdict_bytes c)
-                    v.Checks.truth)
-                wire_keys served_wire.Checks.verdicts
-            end;
+                  Lru.add verdict_cache ~gen:vgen ~key
+                    ~bytes:(Wire.verdict_bytes c) v.Checks.truth)
+                wire_keys served_wire.Checks.verdicts;
             {
               g_origin = origin;
               g_target = target;
@@ -833,17 +836,16 @@ let prepare (cfg : config) fed tracer it m ~qdelay ~predicted index (j : job) =
          certification over every served verdict stands for this arrival's
          — unless a hit disagreed with its served verdict. *)
       let results = pm.m_results in
-      let local_verdicts = pm.m_local_verdicts in
-      let certify verdicts =
+      let certify keep =
         Certify.run ~multi_valued:opts.Strategy.multi_valued ~tracer fed
-          m.q_analysis ~results ~verdicts
+          m.q_analysis ~results
+          ~verdicts:
+            (pm.m_local_verdicts
+            @ List.concat_map
+                (fun g -> if keep g then g.g_full_verdicts else [])
+                groups)
       in
-      let ff =
-        if not !stale then pm.m_ff
-        else
-          certify
-            (local_verdicts @ List.concat_map (fun g -> g.g_full_verdicts) groups)
-      in
+      let ff = if !stale then certify (fun _ -> true) else pm.m_ff in
       let lost_groups = List.filter group_lost groups in
       let doomed_groups =
         List.filter (fun g -> g.g_doomed && not (group_lost g)) groups
@@ -859,13 +861,7 @@ let prepare (cfg : config) fed tracer it m ~qdelay ~predicted index (j : job) =
         if lost_groups = [] && doomed_groups = [] then (ff.Certify.answer, 0)
         else begin
           let certain_with keep =
-            let verdicts =
-              local_verdicts
-              @ List.concat_map
-                  (fun g -> if keep g then g.g_full_verdicts else [])
-                  groups
-            in
-            Answer.goids (certify verdicts).Certify.answer Answer.Certain
+            Answer.goids (certify keep).Certify.answer Answer.Certain
           in
           let ff_certain = Answer.goids ff.Certify.answer Answer.Certain in
           let fault_certain =
