@@ -463,7 +463,7 @@ type plan_memo = {
 }
 
 type ca_memo = {
-  k_outcome : Ca.outcome;
+  k_answer : Answer.t;
   k_ships : (string * int * int * string) list;
       (* db, site, extent bytes, extent-cache key *)
   k_units : int;  (* integrate + eval + lookups, before cache hits *)
@@ -530,7 +530,7 @@ let query_memo it (cfg : config) fed tracer (analysis : Analysis.t) =
         in
         let m = outcome.Ca.materialize_stats in
         {
-          k_outcome = outcome;
+          k_answer = outcome.Ca.answer;
           k_ships =
             List.map
               (fun (db_name, db) ->
@@ -731,7 +731,7 @@ let prepare (cfg : config) fed tracer it m ~qdelay ~predicted index (j : job) =
         p_arrival = at;
         p_deadline = deadline;
         p_plan = Centralized { ca_ships; ca_units };
-        p_answer = k.k_outcome.Ca.answer;
+        p_answer = k.k_answer;
         p_certify_units = ca_units;
         p_extent_hits = !extent_hits;
         p_verdict_hits = 0;
