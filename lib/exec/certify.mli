@@ -42,4 +42,10 @@ val run :
   outcome
 (** With [~multi_valued:true] (extension), an entity's atom satisfied in any
     database is satisfied, even if another copy violates it — matching CA's
-    existential evaluation over integrated value sets. *)
+    existential evaluation over integrated value sets.
+
+    Each entity's rows merge in [results] order, which decides the conflict
+    count and which projected value wins; the answer's rows come out in
+    GOid order. Raises [Invalid_argument] on a row whose GOid the
+    federation did not register, or on a verdict about an atom the query
+    does not have. *)

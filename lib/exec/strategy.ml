@@ -827,14 +827,14 @@ let build_cf e ?after ~acc ~tracer ~fx opts fed analysis =
             ~bytes:(List.length r.Local_result.rows * c.Cost.s_goid)
             ~deps:[ eval ] ()
         in
-        (db_name, r, ship))
+        (db_name, r, ship, touched))
       phases
   in
   bump_goid acc ~phase:"O" lo.Certify.goid_lookups;
   let intersect =
     cpu_task e acc c ~site:gsite ~phase:"O" ~label:"intersect"
       ~units:(units_of_work lo.Certify.work + lo.Certify.goid_lookups)
-      ~deps:(List.map (fun (_, _, ship) -> ship) round1) ()
+      ~deps:(List.map (fun (_, _, ship, _) -> ship) round1) ()
   in
   (* ---- Round 2: broadcast candidates, ship their data + branch extents. ---- *)
   let xfers =
@@ -846,16 +846,19 @@ let build_cf e ?after ~acc ~tracer ~fx opts fed analysis =
             ~phase:"O" ~db:db_name ~label:"ship-candidates"
             ~bytes:(n_candidates * c.Cost.s_goid) ~deps:[ intersect ] ()
         in
-        (* candidate root objects this database holds *)
-        let mine =
-          match List.find_opt (fun (n, _, _) -> String.equal n db_name) round1 with
-          | Some (_, r, _) ->
-            List.length
-              (List.filter
-                 (fun (row : Local_result.row) ->
-                   Oid.Goid.Set.mem row.Local_result.goid candidates)
-                 r.Local_result.rows)
-          | None -> 0
+        (* Candidate root objects this database holds, and the objects
+           round 1 touched there. Round 1 ran in exactly the databases with
+           a root constituent. *)
+        let mine, touched =
+          match List.find_opt (fun (n, _, _, _) -> String.equal n db_name) round1 with
+          | Some (_, r, _, touched) ->
+            ( List.length
+                (List.filter
+                   (fun (row : Local_result.row) ->
+                     Oid.Goid.Set.mem row.Local_result.goid candidates)
+                   r.Local_result.rows),
+              touched )
+          | None -> (0, [])
         in
         let root_bytes = mine * (c.Cost.s_loid + (width_root db_name * c.Cost.s_a)) in
         (* Branch objects are also filtered: a database only ships the
@@ -863,11 +866,6 @@ let build_cf e ?after ~acc ~tracer ~fx opts fed analysis =
            at most one reference per chain class, so the touched count
            capped by the candidate count bounds it). Databases without a
            root constituent ship their touched branch objects in full. *)
-        let touched =
-          match Global_schema.constituent_of gs ~gcls:root ~db:db_name with
-          | Some _ -> Touch.count fed analysis ~db:db_name
-          | None -> []
-        in
         let branch_bytes =
           List.fold_left
             (fun bytes gcls ->

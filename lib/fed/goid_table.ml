@@ -1,12 +1,14 @@
 open Msdq_odb
 
-type entity = { gcls : string; locals : (string * Oid.Loid.t) list }
+(* [dbs] holds the number of each local's database, in [locals] order. *)
+type entity = { gcls : string; locals : (string * Oid.Loid.t) list; dbs : int list }
 
 (* One database's LOid -> GOid column; -1 marks an unregistered LOid.
    Database LOids are dense from 0 ([Database.add]), so the column grows to
    reach each LOid it registers and stays under twice the database's
-   size. *)
-type local_map = { db : string; mutable goids : int array }
+   size. [index] is the database's number: its position in [maps], or -1
+   for a database with no registered object. *)
+type local_map = { db : string; index : int; mutable goids : int array }
 
 type t = {
   mutable entities : entity array;  (* indexed by GOid *)
@@ -30,7 +32,7 @@ let map_for t db =
   match find_map t db with
   | Some m -> m
   | None ->
-    let m = { db; goids = [||] } in
+    let m = { db; index = List.length t.maps; goids = [||] } in
     t.maps <- t.maps @ [ m ];
     m
 
@@ -65,8 +67,9 @@ let register t ~gcls locals =
              (Printf.sprintf "object %s of database %s already registered"
                 (Oid.Loid.to_string loid) db)))
     locals;
+  let maps = List.map (fun (db, _) -> map_for t db) locals in
   let goid = t.next_goid in
-  let e = { gcls; locals } in
+  let e = { gcls; locals; dbs = List.map (fun m -> m.index) maps } in
   if goid >= Array.length t.entities then begin
     let entities = Array.make (max 16 (2 * goid)) e in
     Array.blit t.entities 0 entities 0 goid;
@@ -74,7 +77,7 @@ let register t ~gcls locals =
   end;
   t.entities.(goid) <- e;
   t.next_goid <- goid + 1;
-  List.iter (fun (db, loid) -> set_goid (map_for t db) loid goid) locals;
+  List.iter2 (fun m (_, loid) -> set_goid m loid goid) maps locals;
   let goid = Oid.Goid.of_int goid in
   let r =
     match Hashtbl.find_opt t.by_class gcls with
@@ -96,7 +99,7 @@ let entity t goid =
   else None
 
 let local_map t ~db =
-  match find_map t db with Some m -> m | None -> { db; goids = [||] }
+  match find_map t db with Some m -> m | None -> { db; index = -1; goids = [||] }
 
 let goid_in m ?meter loid =
   tick meter;
@@ -107,6 +110,12 @@ let goid_of_local t ?meter ~db loid = goid_in (local_map t ~db) ?meter loid
 let locals_of t ?meter goid =
   tick meter;
   match entity t goid with Some e -> e.locals | None -> []
+
+let db_names t = List.map (fun m -> m.db) t.maps
+
+let local_dbs t ?meter goid =
+  tick meter;
+  match entity t goid with Some e -> e.dbs | None -> []
 
 let isomers_in t m ?meter loid =
   tick meter;

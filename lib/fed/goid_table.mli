@@ -50,6 +50,16 @@ val locals_of : t -> ?meter:Meter.t -> Oid.Goid.t -> (string * Oid.Loid.t) list
 (** All isomeric objects of an entity, in registration order. Charged as
     one table lookup to [meter]. *)
 
+val db_names : t -> string list
+(** The databases holding a registered object, in order of their first
+    registration: the database numbered [i] by {!local_dbs} is the [i]th
+    name. *)
+
+val local_dbs : t -> ?meter:Meter.t -> Oid.Goid.t -> int list
+(** The numbers ({!db_names}) of the databases holding the entity's
+    isomeric objects, in {!locals_of} order. Charged as one table lookup to
+    [meter]. *)
+
 val gcls_of : t -> Oid.Goid.t -> string option
 
 val goids_of_class : t -> gcls:string -> Oid.Goid.t list

@@ -54,12 +54,14 @@ let argmin scores =
       (fun best s -> if s.blended < best.blended then s else best)
       first rest
 
-let decide ?cost ?store ?(objective = Planner.Response_time) ?(degraded = [])
-    ?(gray = []) ?(overload = 0.0) fed analysis =
+let decide ?cost ?predictions ?store ?(objective = Planner.Response_time)
+    ?(degraded = []) ?(gray = []) ?(overload = 0.0) fed analysis =
   if not (Float.is_finite overload) || overload < 0.0 then
     invalid_arg "Optimizer.decide: overload must be non-negative and finite";
   let predictions =
-    Planner.predict ?cost ~strategies:candidates fed analysis
+    match predictions with
+    | Some p -> p
+    | None -> Planner.predict ?cost ~strategies:candidates fed analysis
   in
   let key (p : Planner.prediction) =
     match objective with

@@ -60,6 +60,7 @@ val check_sites : Federation.t -> Analysis.t -> int list
 
 val decide :
   ?cost:Cost.t ->
+  ?predictions:Planner.prediction list ->
   ?store:Msdq_telemetry.Store.t ->
   ?objective:Planner.objective ->
   ?degraded:int list ->
@@ -82,7 +83,10 @@ val decide :
     blended score as [overload * pred_ratio], so rising pressure shifts
     the argmin toward the cheapest plan while zero leaves the ranking
     untouched; it must be non-negative and finite or the call raises
-    [Invalid_argument]. Deterministic: same federation, analysis, store
-    contents, degraded set and overload — same decision. *)
+    [Invalid_argument]. [predictions] are [Planner.predict ?cost
+    ~strategies:candidates fed analysis], made once by a caller that
+    decides the same query many times; without them [decide] makes them.
+    Deterministic: same federation, analysis, store contents, degraded set
+    and overload — same decision. *)
 
 val pp_decision : Format.formatter -> decision -> unit

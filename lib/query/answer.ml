@@ -17,26 +17,39 @@ let reason_to_string = function
 
 type t = {
   targets : Path.t list;
-  rows : row list;
-  index : status Oid.Goid.Map.t;
+  rows : row list;  (* ascending GOid *)
   degraded : Oid.Goid.Set.t;
   reasons : reason Oid.Goid.Map.t; (* degraded provenance, per entity *)
   cached : Oid.Goid.Set.t; (* certified via cache-served verdicts *)
 }
 
+let by_goid a b = Oid.Goid.compare a.goid b.goid
+
+let rec ascending = function
+  | a :: (b :: _ as rest) -> by_goid a b < 0 && ascending rest
+  | [ _ ] | [] -> true
+
+let rec check_unique = function
+  | a :: (b :: _ as rest) ->
+    if by_goid a b = 0 then
+      invalid_arg
+        (Printf.sprintf "Answer.make: duplicate goid %s"
+           (Oid.Goid.to_string a.goid));
+    check_unique rest
+  | [ _ ] | [] -> ()
+
+(* Executors emit rows in GOid order: one pass checks it, and only rows out
+   of order are sorted. *)
 let make ~targets rows =
-  let sorted = List.sort (fun a b -> Oid.Goid.compare a.goid b.goid) rows in
-  let index =
-    List.fold_left
-      (fun acc r ->
-        if Oid.Goid.Map.mem r.goid acc then
-          invalid_arg
-            (Printf.sprintf "Answer.make: duplicate goid %s"
-               (Oid.Goid.to_string r.goid))
-        else Oid.Goid.Map.add r.goid r.status acc)
-      Oid.Goid.Map.empty sorted
+  let rows =
+    if ascending rows then rows
+    else begin
+      let sorted = List.sort by_goid rows in
+      check_unique sorted;
+      sorted
+    end
   in
-  { targets; rows = sorted; index; degraded = Oid.Goid.Set.empty;
+  { targets; rows; degraded = Oid.Goid.Set.empty;
     reasons = Oid.Goid.Map.empty; cached = Oid.Goid.Set.empty }
 
 let degraded t = t.degraded
@@ -53,6 +66,13 @@ let annotate_degraded t ~reasons =
   in
   { t with reasons }
 
+(* The listed GOids the answer holds. *)
+let present t goids =
+  List.fold_left
+    (fun acc r ->
+      if Oid.Goid.Set.mem r.goid goids then Oid.Goid.Set.add r.goid acc else acc)
+    Oid.Goid.Set.empty t.rows
+
 let demote t ~goids =
   let rows =
     List.map
@@ -62,20 +82,12 @@ let demote t ~goids =
         else r)
       t.rows
   in
-  let index =
-    List.fold_left (fun acc r -> Oid.Goid.Map.add r.goid r.status acc)
-      Oid.Goid.Map.empty rows
-  in
-  let present =
-    Oid.Goid.Set.filter (fun g -> Oid.Goid.Map.mem g index) goids
-  in
-  { t with rows; index; degraded = Oid.Goid.Set.union t.degraded present }
+  { t with rows; degraded = Oid.Goid.Set.union t.degraded (present t goids) }
 
 let cached t = t.cached
 
 let mark_cached t ~goids =
-  let present = Oid.Goid.Set.filter (fun g -> Oid.Goid.Map.mem g t.index) goids in
-  { t with cached = Oid.Goid.Set.union t.cached present }
+  { t with cached = Oid.Goid.Set.union t.cached (present t goids) }
 
 let targets t = t.targets
 let rows t = t.rows
@@ -83,7 +95,7 @@ let certain t = List.filter (fun r -> r.status = Certain) t.rows
 let maybe t = List.filter (fun r -> r.status = Maybe) t.rows
 let size t = List.length t.rows
 let find t goid = List.find_opt (fun r -> Oid.Goid.equal r.goid goid) t.rows
-let status_of t goid = Oid.Goid.Map.find_opt goid t.index
+let status_of t goid = Option.map (fun r -> r.status) (find t goid)
 
 let goids t status =
   List.fold_left

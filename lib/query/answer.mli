@@ -27,8 +27,10 @@ val reason_to_string : reason -> string
 type t
 
 val make : targets:Path.t list -> row list -> t
-(** Rows are sorted by GOid; a duplicate GOid raises [Invalid_argument]
-    (executors must merge per-entity results before building the answer). *)
+(** Rows are sorted by GOid: rows already in ascending order are kept as
+    they are after one pass, others are sorted. A duplicate GOid raises
+    [Invalid_argument] (executors must merge per-entity results before
+    building the answer). *)
 
 val targets : t -> Path.t list
 

@@ -478,6 +478,8 @@ type query_memo = {
   q_dbs : (string, db_memo) Hashtbl.t;
   q_strategies : (Strategy.t, plan_memo) Hashtbl.t;
   q_predicted : (Strategy.t, Time.t * Time.t) Hashtbl.t;
+  q_auto : Planner.prediction list Lazy.t;
+      (* AUTO's candidates, at the cost [Optimizer.decide] defaults to *)
 }
 
 (* A stream's intake, shared by [run] and [run_auto]: the workload
@@ -555,6 +557,8 @@ let query_memo it (cfg : config) fed tracer (analysis : Analysis.t) =
           q_dbs = Hashtbl.create 4;
           q_strategies = Hashtbl.create 4;
           q_predicted = Hashtbl.create 4;
+          q_auto =
+            lazy (Planner.predict ~strategies:Optimizer.candidates fed analysis);
         }
       in
       Query_tbl.add it.memo q m;
@@ -1840,9 +1844,10 @@ let run_auto ?(tracer = Tracer.disabled) ?registry ?(trace = false) ?store
           (* Backpressure: the virtual queue's depth plus the deadline-miss
              EWMA penalize expensive candidates inside the optimizer. *)
           let overload = admission_overload it.adm ~at:arrival in
+          let m = query_memo it cfg fed tracer analysis in
           let d =
-            Optimizer.decide ?store ?objective ~degraded ~gray ~overload fed
-              analysis
+            Optimizer.decide ~predictions:(Lazy.force m.q_auto) ?store
+              ?objective ~degraded ~gray ~overload fed analysis
           in
           (match d.Optimizer.reason with
           | Some r
@@ -1850,7 +1855,6 @@ let run_auto ?(tracer = Tracer.disabled) ?registry ?(trace = false) ?store
             ->
               bump wl "msdq_gray_fallbacks_total" [] 1
           | _ -> ());
-          let m = query_memo it cfg fed tracer analysis in
           let predicted_of st =
             match
               List.find_opt

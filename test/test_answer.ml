@@ -39,6 +39,60 @@ let test_duplicate_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_order () =
+  let sorted = [ row 1 Answer.Certain []; row 4 Answer.Maybe []; row 7 Answer.Certain [] ] in
+  Alcotest.(check bool) "sorted input kept as it is" true
+    (Answer.rows (Answer.make ~targets sorted) == sorted);
+  let unsorted = [ row 7 Answer.Certain []; row 1 Answer.Certain []; row 4 Answer.Maybe [] ] in
+  Alcotest.(check (list int)) "unsorted input sorted" [ 1; 4; 7 ]
+    (List.map (fun r -> Oid.Goid.to_int r.Answer.goid) (Answer.rows (Answer.make ~targets unsorted)))
+
+let test_duplicate_message () =
+  let message rows =
+    match Answer.make ~targets rows with
+    | _ -> "accepted"
+    | exception Invalid_argument m -> m
+  in
+  let dup goids = List.map (fun g -> row g Answer.Maybe []) goids in
+  List.iter
+    (fun (name, goids) ->
+      Alcotest.(check string) name "Answer.make: duplicate goid g1" (message (dup goids)))
+    [
+      ("sorted", [ 1; 1; 5; 5 ]);
+      ("sorted, duplicate last", [ 0; 1; 1 ]);
+      ("unsorted", [ 5; 5; 1; 1 ]);
+      ("unsorted, duplicates apart", [ 1; 3; 1 ]);
+    ]
+
+let test_present_and_absent () =
+  let a =
+    Answer.make ~targets
+      [ row 1 Answer.Certain []; row 3 Answer.Maybe []; row 5 Answer.Certain [] ]
+  in
+  let set l = Oid.Goid.Set.of_list (List.map g l) in
+  let status a n = Answer.status_of a (g n) in
+  Alcotest.(check bool) "status of present goids" true
+    (status a 1 = Some Answer.Certain && status a 3 = Some Answer.Maybe
+    && status a 5 = Some Answer.Certain);
+  Alcotest.(check bool) "status of absent goids" true
+    (List.for_all (fun n -> status a n = None) [ 0; 2; 4; 6 ]);
+  let d = Answer.demote a ~goids:(set [ 0; 3; 5; 6 ]) in
+  Alcotest.(check bool) "demote: certain present row becomes maybe" true
+    (status d 5 = Some Answer.Maybe);
+  Alcotest.(check bool) "demote: other rows unchanged" true
+    (status d 1 = Some Answer.Certain && status d 3 = Some Answer.Maybe);
+  Alcotest.(check (list int)) "demote: only present goids degraded" [ 3; 5 ]
+    (List.map Oid.Goid.to_int (Oid.Goid.Set.elements (Answer.degraded d)));
+  Alcotest.(check bool) "demote: absent goids stay absent" true
+    (status d 0 = None && status d 6 = None);
+  let c = Answer.mark_cached d ~goids:(set [ 1; 2; 7 ]) in
+  Alcotest.(check (list int)) "mark_cached: only present goids" [ 1 ]
+    (List.map Oid.Goid.to_int (Oid.Goid.Set.elements (Answer.cached c)));
+  Alcotest.(check bool) "mark_cached: rows untouched" true (Answer.rows c == Answer.rows d);
+  let none = Answer.demote a ~goids:(set [ 2; 4 ]) in
+  Alcotest.(check bool) "demote of absent goids only" true
+    (Oid.Goid.Set.is_empty (Answer.degraded none) && Answer.same_statuses none a)
+
 let test_same_statuses () =
   let a = Answer.make ~targets [ row 1 Answer.Certain []; row 2 Answer.Maybe [] ] in
   let b = Answer.make ~targets [ row 2 Answer.Maybe [ Value.Int 1 ]; row 1 Answer.Certain [] ] in
@@ -84,6 +138,9 @@ let suite =
   [
     Alcotest.test_case "basic accessors" `Quick test_basic;
     Alcotest.test_case "duplicate goids rejected" `Quick test_duplicate_rejected;
+    Alcotest.test_case "rows in GOid order" `Quick test_order;
+    Alcotest.test_case "duplicate message, sorted or not" `Quick test_duplicate_message;
+    Alcotest.test_case "present and absent goids" `Quick test_present_and_absent;
     Alcotest.test_case "status comparison" `Quick test_same_statuses;
     Alcotest.test_case "subsumption" `Quick test_subsumes;
     Alcotest.test_case "pretty printing" `Quick test_pp;

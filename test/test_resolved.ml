@@ -290,11 +290,26 @@ let same_goid_table regs =
     (fun g ->
       let goid = Oid.Goid.of_int g in
       let want = List.find_opt (fun (g', _, _) -> Oid.Goid.equal goid g') model in
+      let locals = Option.fold ~none:[] ~some:(fun (_, _, ls) -> ls) want in
       if
-        Goid_table.locals_of t goid <> Option.fold ~none:[] ~some:(fun (_, _, ls) -> ls) want
+        Goid_table.locals_of t goid <> locals
         || Goid_table.gcls_of t goid <> Option.map (fun (_, c, _) -> c) want
-      then fail "entity %d differs" g)
+      then fail "entity %d differs" g;
+      let meter = Meter.create () in
+      if
+        List.map (List.nth (Goid_table.db_names t)) (Goid_table.local_dbs t ~meter goid)
+        <> List.map fst locals
+      then fail "database numbers of entity %d differ" g;
+      if (Meter.read meter).Meter.goid_lookups <> 1 then fail "local_dbs not charged once")
     ([ -3; -1; n; n + 1; max_int ] @ List.init n Fun.id);
+  (* Databases are numbered in order of first registration. *)
+  let first_seen =
+    List.fold_left
+      (fun seen (_, _, ls) ->
+        List.fold_left (fun seen (db, _) -> if List.mem db seen then seen else seen @ [ db ]) seen ls)
+      [] model
+  in
+  if Goid_table.db_names t <> first_seen then fail "database numbering";
   List.iter
     (fun gcls ->
       let want = List.filter_map (fun (g, c, _) -> if c = gcls then Some g else None) model in
