@@ -2,7 +2,12 @@ open Msdq_odb
 open Msdq_fed
 open Msdq_query
 
-let count fed (analysis : Analysis.t) ~db:db_name =
+let count ?(tracer = Msdq_obs.Tracer.disabled) fed (analysis : Analysis.t)
+    ~db:db_name =
+  Msdq_obs.Tracer.with_span tracer ~cat:"touch"
+    ~args:[ ("db", db_name) ]
+    "touch.count"
+  @@ fun () ->
   let gs = Federation.global_schema fed in
   let db = Federation.db fed db_name in
   let root_gcls = analysis.Analysis.range_class in

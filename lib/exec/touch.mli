@@ -15,7 +15,9 @@
 open Msdq_fed
 open Msdq_query
 
-val count : Federation.t -> Analysis.t -> db:string -> (string * int) list
+val count :
+  ?tracer:Msdq_obs.Tracer.t -> Federation.t -> Analysis.t -> db:string ->
+  (string * int) list
 (** [(global class, distinct local objects touched)] for the range class
     (its full extent) and every involved branch class with a constituent in
-    [db]. *)
+    [db]. The walk is recorded as a [touch.count] host span on [tracer]. *)
