@@ -115,7 +115,9 @@ type config = {
   options : Strategy.options;
       (** cost constants, site speeds, fault schedule and retry policy —
           the same record the single-query strategies take.
-          [options.deep_certify] is unsupported here and rejected. *)
+          [options.deep_certify] and [options.recovery.failover] are
+          unsupported here and rejected: check round trips are
+          retry-only. *)
   cache_bytes : int;
       (** capacity of {e each} site's extent cache and of the global
           verdict cache, in bytes; [0] disables caching entirely (every
@@ -240,8 +242,8 @@ val run :
     engine's task trace (also enabled implicitly by [options.telemetry]);
     it changes only the [trace] field of the outcome, never timing or
     answers. Raises [Invalid_argument] on invalid configuration (negative
-    capacities, negative or non-finite window, [deep_certify], unsorted
-    arrivals, a [Cf] job, a non-positive or non-finite deadline, a
+    capacities, negative or non-finite window, [deep_certify], failover,
+    unsorted arrivals, a [Cf] job, a non-positive or non-finite deadline, a
     [queue_limit < 1]) with a readable message, before any simulated work
     happens.
 
