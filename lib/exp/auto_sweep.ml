@@ -310,6 +310,7 @@ let section =
   {
     S.key = "auto_sweep";
     since = 7;
+    until = None;
     check;
     bars = [];
     guard = [ "seed"; "queries"; "distinct" ];

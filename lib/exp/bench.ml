@@ -3,7 +3,7 @@ module Stats = Msdq_simkit.Stats
 module S = Bench_section
 
 let oldest = 6
-let version = 10
+let version = 11
 let schema = Printf.sprintf "msdq-bench/%d" version
 
 (* ---- sections only the bench produces ---- *)
@@ -105,6 +105,7 @@ let parallel =
   {
     S.key = "parallel";
     since = 2;
+    until = None;
     check =
       (fun c ->
         ignore (S.int ~min:1 c "jobs");
@@ -200,12 +201,14 @@ let strategies =
             (S.elements c));
   }
 
-(* Bechamel wall-clock medians: machine-dependent, never compared. *)
+(* Bechamel wall-clock medians: machine-dependent, never compared. /11
+   retired the section; older documents still carry it. *)
 let wall =
   {
     parallel with
     S.key = "wall";
     since = 1;
+    until = Some 10;
     check =
       (fun c ->
         List.iter
@@ -232,7 +235,7 @@ let sections =
 
 let to_json ~generated_at ~seed ~parallel:p ~fault_sweep ~recovery_sweep
     ~serve_sweep ~latency:l ~auto_sweep ~overload_sweep ~gray_sweep
-    ~microbench:m ~strategies:st ~wall:w =
+    ~microbench:m ~strategies:st =
   let entry (name, total_s, response_s) =
     Json.Obj
       [
@@ -240,9 +243,6 @@ let to_json ~generated_at ~seed ~parallel:p ~fault_sweep ~recovery_sweep
         ("total_s", Json.Float total_s);
         ("response_s", Json.Float response_s);
       ]
-  in
-  let wall_entry (name, ns) =
-    Json.Obj [ ("name", Json.Str name); ("ns_per_run", Json.Float ns) ]
   in
   Json.Obj
     (("schema", Json.Str schema)
@@ -261,7 +261,6 @@ let to_json ~generated_at ~seed ~parallel:p ~fault_sweep ~recovery_sweep
            (Gray_sweep.section, Gray_sweep.to_json gray_sweep);
            (microbench, microbench_to_json m);
            (strategies, Json.Arr (List.map entry st));
-           (wall, Json.Arr (List.map wall_entry w));
          ])
 
 (* ---- validation ---- *)
@@ -282,11 +281,14 @@ let validate doc =
     in
     ignore (S.str c "generated_at");
     ignore (S.int c "seed");
-    (* a section is required from its version on, and checked whenever
-       present *)
+    (* a section is required from its version on (through its last one,
+       once retired), and checked whenever present *)
     List.iter
       (fun (s : S.t) ->
-        if s.S.since <= v || Json.member s.S.key doc <> None then
+        let required =
+          s.S.since <= v && match s.S.until with Some u -> v <= u | None -> true
+        in
+        if required || Json.member s.S.key doc <> None then
           s.S.check (S.field c s.S.key))
       sections
   with

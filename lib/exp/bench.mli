@@ -11,7 +11,7 @@
 module Json = Msdq_obs.Json
 
 val schema : string
-(** ["msdq-bench/10"]: the schema every new document is written with.
+(** ["msdq-bench/11"]: the schema every new document is written with.
     {!validate} accepts [msdq-bench/6] through this one. *)
 
 (** {1 Sections only the bench produces} *)
@@ -52,7 +52,8 @@ val sections : Bench_section.t list
     [recovery_sweep], [serve_sweep], [latency] (per-strategy quantiles,
     non-decreasing), [auto_sweep], [overload_sweep], [gray_sweep],
     [microbench] (positive rates; the gate holds local-eval >= 5x and
-    signature filter >= 1x), [strategies] and [wall]. *)
+    signature filter >= 1x), [strategies] and [wall] (bechamel wall-clock
+    medians, required through [/10] and retired in [/11]). *)
 
 val to_json :
   generated_at:string ->
@@ -67,18 +68,17 @@ val to_json :
   gray_sweep:Gray_sweep.outcome ->
   microbench:microbench ->
   strategies:(string * float * float) list ->
-  wall:(string * float) list ->
   Json.t
 (** The document. [strategies] carries one [(name, total_s, response_s)]
-    triple per simulated strategy run on the demo workload; [wall] carries
-    bechamel wall-clock medians as [(benchmark, ns_per_run)]; [latency]
+    triple per simulated strategy run on the demo workload; [latency]
     one quantile summary per strategy. [generated_at] is injected (not
     read from the clock) so tests stay deterministic. *)
 
 val validate : Json.t -> (unit, string) result
 (** Accepts [msdq-bench/6] through {!schema}. Requires [generated_at],
-    [seed] and every section whose version is at or below the document's,
-    and runs the check of every section present. *)
+    [seed] and every section the document's version requires (from the
+    section's [since] through its [until]), and runs the check of every
+    section present. *)
 
 val load : string -> (string * Json.t, string) result
 (** Read, parse and {!validate} a file: the document and its schema id,

@@ -83,6 +83,7 @@ type metric =
 type t = {
   key : string;
   since : int;
+  until : int option;
   check : cursor -> unit;
   bars : (string * float) list;
   guard : string list;

@@ -57,6 +57,8 @@ type metric =
 type t = {
   key : string;  (** the document member, e.g. [gray_sweep] *)
   since : int;  (** the [msdq-bench/N] that made it required *)
+  until : int option;
+      (** the last [msdq-bench/N] that requires it, for a retired section *)
   check : cursor -> unit;  (** structure and win condition; raises {!Invalid} *)
   bars : (string * float) list;
       (** [(dotted path, minimum)] same-run ratios the gate holds on the

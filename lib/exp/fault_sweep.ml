@@ -471,6 +471,7 @@ let section =
   {
     S.key = "fault_sweep";
     since = 3;
+    until = None;
     check;
     bars = [];
     guard = [ "seed"; "samples" ];

@@ -418,6 +418,7 @@ let section =
   {
     S.key = "gray_sweep";
     since = 9;
+    until = None;
     check;
     bars = [];
     guard = [ "seed"; "queries" ];

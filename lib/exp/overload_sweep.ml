@@ -339,6 +339,7 @@ let section =
   {
     S.key = "overload_sweep";
     since = 8;
+    until = None;
     check;
     bars = [];
     guard = [ "seed"; "queries"; "queue_limit" ];

@@ -246,6 +246,7 @@ let section =
   {
     S.key = "serve_sweep";
     since = 5;
+    until = None;
     check;
     bars = [];
     guard = [ "seed"; "samples"; "queries" ];

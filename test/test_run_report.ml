@@ -360,7 +360,7 @@ let bench_doc ?(parallel = parallel_section) ?(fault_sweep = fault_sweep_section
     ?(microbench = microbench_section) ?(strategies = [ ("BL", 0.1, 0.05) ]) () =
   Bench.to_json ~generated_at:"t" ~seed:1 ~parallel ~fault_sweep ~recovery_sweep
     ~serve_sweep ~latency ~auto_sweep ~overload_sweep ~gray_sweep ~microbench
-    ~strategies ~wall:[]
+    ~strategies
 
 (* The committed baselines, oldest first. *)
 let results_dir = "../bench/results"
@@ -397,7 +397,6 @@ let test_bench_validation () =
       ~overload_sweep:overload_sweep_section ~gray_sweep:gray_sweep_section
       ~microbench:microbench_section
       ~strategies:[ ("BL", 0.1, 0.05) ]
-      ~wall:[ ("msdq/parse-q1", 2500.0) ]
   in
   (match Bench.validate good with
   | Ok () -> ()
@@ -549,13 +548,22 @@ let test_bench_validation () =
       (List.map (fun (k, v) ->
            if String.equal k "schema" then (k, Json.Str s) else (k, v)))
   in
+  (* /11 retired the wall section: documents up to /10 must carry it. *)
+  let with_wall = obj_map (fun l -> l @ [ ("wall", Json.Arr []) ]) in
+  reject "/10 without wall" (with_schema "msdq-bench/10" good);
+  reject "/10 with a malformed wall"
+    (with_schema "msdq-bench/10"
+       (obj_map (fun l -> l @ [ ("wall", Json.Arr [ Json.Obj [] ]) ]) good));
+  (match Bench.validate (with_schema "msdq-bench/10" (with_wall good)) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "valid /10 document rejected: %s" msg);
   reject "/7 without auto_sweep" (without "auto_sweep" good);
   (* The /10 section: a /10 document must carry a well-formed microbench,
      a /9 one need not. *)
   reject "/10 without microbench" (without "microbench" good);
   (match
      Bench.validate
-       (with_schema "msdq-bench/9" (without "microbench" good))
+       (with_schema "msdq-bench/9" (with_wall (without "microbench" good)))
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "valid /9 document rejected: %s" msg);
@@ -567,7 +575,7 @@ let test_bench_validation () =
     (with_microbench { microbench_section with Bench.mb_objects = 0 });
   (match
      Bench.validate
-       (with_schema "msdq-bench/6" (without "auto_sweep" good))
+       (with_schema "msdq-bench/6" (with_wall (without "auto_sweep" good)))
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "valid /6 document rejected: %s" msg);
@@ -671,7 +679,8 @@ let test_bench_validation () =
      that made it required. *)
   reject "/6 carrying a regressed auto_sweep"
     (with_schema "msdq-bench/6"
-       (with_auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.26 }));
+       (with_wall
+          (with_auto { auto_sweep_section with Auto_sweep.auto_makespan_s = 0.26 })));
   reject "auto_sweep empty fixed"
     (with_auto { auto_sweep_section with Auto_sweep.fixed = [] });
   reject "auto_sweep rank rate above 1"
@@ -691,7 +700,7 @@ let test_bench_validation () =
   reject "/8 without overload_sweep" (without "overload_sweep" good);
   (match
      Bench.validate
-       (with_schema "msdq-bench/7" (without "overload_sweep" good))
+       (with_schema "msdq-bench/7" (with_wall (without "overload_sweep" good)))
    with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "valid /7 document rejected: %s" msg);
@@ -731,7 +740,7 @@ let test_bench_validation () =
   | Error msg -> Alcotest.failf "degrade row wrongly held to the bound: %s" msg);
   (* The /9 section: required at /9, and its win condition is enforced. *)
   reject "/9 without gray_sweep"
-    (with_schema "msdq-bench/9" (without "gray_sweep" good));
+    (with_schema "msdq-bench/9" (with_wall (without "gray_sweep" good)));
   let with_gray f =
     let g = gray_sweep_section in
     bench_doc ~gray_sweep:{ g with Gray_sweep.points = f g.Gray_sweep.points } ()
