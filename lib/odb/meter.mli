@@ -9,8 +9,8 @@
     A meter is an explicit instance: each executor phase creates its own and
     reports a {!snapshot}, so concurrent queries never bleed counts into
     each other. (The previous design used process-global refs with
-    [reset]/[delta]; that made [Strategy.run_concurrent] attribution
-    unreliable and is gone.) *)
+    [reset]/[delta]; that made attribution unreliable whenever queries
+    shared an engine, and is gone.) *)
 
 type snapshot = { comparisons : int; accesses : int; goid_lookups : int }
 
