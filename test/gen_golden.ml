@@ -57,5 +57,8 @@ let () =
   (* Every strategy's answers and metrics on the synthetic federation
      (test/synth_golden.ml). *)
   write "test/golden/synth_answers.txt" (Synth_golden.render ());
+  (* The same shapes under seeded fault schedules and every recovery
+     policy (test/fault_golden.ml). *)
+  write "test/golden/fault_answers.txt" (Fault_golden.render ());
   (* Four serve streams on the same federation (test/serve_golden.ml). *)
   write "test/golden/serve_streams.txt" (Serve_golden.render ())
