@@ -34,7 +34,9 @@
     {- a doomed round trip suppresses cache hits for its requests, so its
        rows demote to uncertified maybe results exactly as they would in a
        cold run — a cached verdict can never resurrect a row that fault
-       demotion made uncertified;}
+       demotion made uncertified. Which rows demote is
+       {!Msdq_exec.Strategy.degrade}'s rule, the one a single query's
+       retry-only run applies;}
     {- a surviving round trip may serve any of its verdicts from cache,
        which changes {e only} simulated time, never the verdict (a verdict
        is a pure function of the assistant object and the relative
@@ -73,19 +75,10 @@
        {!Msdq_opt.Optimizer.decide}'s [overload] score in {!run_auto}, so
        AUTO shifts toward cheaper plans as pressure rises.}}
 
-    Modelling simplifications, documented in docs/SERVE.md: loss fates are
-    drawn at the query's arrival instant rather than each transfer's start;
-    critical messages (result and extent shipments, batch flushes) wait out
-    destination outages instead of failing; retransmission waits of check
-    legs are charged as pure latency; deadline fates are likewise drawn at
-    admission from the queueing delay and the cost model's predicted
-    response (plus any retry waits already fated), not from realized
-    execution time — the budget expiry itself is still charged on the
-    simulated clock; and the queue is a virtual single-server FIFO that
-    charges each query its predicted {e total} work (a single server has
-    no idle parallelism, and over-estimating service sheds early — the
-    safe direction for a tail bound), not the engine's own resource
-    contention. *)
+    docs/SERVE.md lists the modelling simplifications: fates drawn at
+    arrival, critical messages that are never lost, retry waits charged as
+    latency, deadline fates from predicted delays and the virtual
+    single-server queue. *)
 
 open Msdq_simkit
 open Msdq_fed
@@ -164,9 +157,11 @@ type query_report = {
   extent_hits : int;  (** extent-cache hits this query scored *)
   verdict_hits : int;  (** verdicts this query served from cache *)
   deadline_demoted : int;
-      (** rows demoted to uncertified maybe because their check round
-          trips were abandoned at the deadline (each carries an
-          [Answer.Deadline] reason with elapsed vs budget) *)
+      (** entities degraded only because of the deadline: degraded here but
+          not in the same arrival without a deadline, whose lost check
+          round trips alone degrade the rest. These carry an
+          [Answer.Deadline] reason (elapsed vs budget), the rest an
+          [Answer.Fault] one. *)
   registry : Msdq_obs.Metrics.t;
       (** the query's private registry: [msdq_disk_bytes_total],
           [msdq_bytes_shipped_total], [msdq_work_units_total], labelled by
