@@ -6,8 +6,7 @@
    --sweep draws its own streams, so it refuses every flag that sets up
    one stream instead of ignoring it. *)
 
-let msdq_exe =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/msdq.exe"
+let msdq_exe = Testutil.beside_exe "../bin/msdq.exe"
 
 (* Exit code and stderr of [msdq args]; stdout is discarded. *)
 let run args =

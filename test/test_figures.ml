@@ -82,7 +82,9 @@ let test_csv () =
    dune exec test/gen_golden.exe only when a figure number moves on purpose. *)
 let test_goldens () =
   let read path =
-    In_channel.with_open_bin ("golden/" ^ path) In_channel.input_all
+    In_channel.with_open_bin
+      (Testutil.beside_exe ("golden/" ^ path))
+      In_channel.input_all
   in
   let figs = Figures.all ~samples:20 ~seed:1996 () in
   Alcotest.(check string) "figure JSON bytes" (read "figures_s20.json")

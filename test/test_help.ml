@@ -4,8 +4,7 @@
    suite. The binary is a declared test dependency; each case runs
    [msdq <sub> --help=plain] and parses the option-definition lines. *)
 
-let msdq_exe =
-  Filename.concat (Filename.dirname Sys.executable_name) "../bin/msdq.exe"
+let msdq_exe = Testutil.beside_exe "../bin/msdq.exe"
 
 (* Option-definition lines in cmdliner's plain output are indented
    exactly seven spaces ("       --flag" or "       -j N, --jobs=N");

@@ -26,7 +26,7 @@ let q1_run s =
 let bl_run () = q1_run Strategy.Bl
 
 let read_file path =
-  let ic = open_in_bin path in
+  let ic = open_in_bin (Testutil.beside_exe path) in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
@@ -363,7 +363,7 @@ let bench_doc ?(parallel = parallel_section) ?(fault_sweep = fault_sweep_section
     ~strategies
 
 (* The committed baselines, oldest first. *)
-let results_dir = "../bench/results"
+let results_dir = Testutil.beside_exe "../bench/results"
 
 let committed () =
   Sys.readdir results_dir |> Array.to_list

@@ -5,6 +5,11 @@ let contains ~needle hay =
   let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
   nl = 0 || at 0
 
+(* A path relative to the test executable's directory, where dune copies
+   the goldens, the committed bench results and the msdq binary the suites
+   depend on; so a suite finds them from any working directory. *)
+let beside_exe rel = Filename.concat (Filename.dirname Sys.executable_name) rel
+
 let string_of_values vs = String.concat "," (List.map Msdq_odb.Value.to_string vs)
 
 (* Name of an object per its "name" attribute, for readable assertions. *)
