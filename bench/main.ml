@@ -16,8 +16,10 @@
    run's seed, the parallel calibration, the fault, recovery, serve, AUTO,
    overload and gray sweeps, the latency quantiles and the columnar
    microbench; --out DIR picks the directory, --jobs N sizes the domain
-   pool (default: all cores; 1 = sequential), --smoke runs a reduced
-   version for CI, and --check FILE validates an existing result file. *)
+   pool (default: all cores; 1 = sequential), --smoke writes every
+   section at reduced sizes for CI without the figures and the other
+   studies, and --check FILE validates an existing result file. A
+   positional argument is refused with exit code 2. *)
 
 open Msdq_fed
 open Msdq_query
@@ -650,7 +652,9 @@ let () =
         "N  domain-pool size for the sweeps (default: all cores; 1 = sequential)" );
       ( "--smoke",
         Arg.Set smoke,
-        " minimal run for CI: skip the sweeps, still write the JSON file" );
+        " reduced run for CI: tables 1-2 and every JSON section, with the \
+         calibration, fault, recovery and serve sweeps and the microbench \
+         at reduced sizes; no figures and no other studies" );
       ("--out", Arg.Set_string out, "DIR  directory for BENCH_<timestamp>.json (default .)");
       ( "--check",
         Arg.String (fun f -> check := Some f),
@@ -658,7 +662,7 @@ let () =
     ]
   in
   Arg.parse spec
-    (fun _ -> ())
+    (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
     "bench/main.exe [--quick|--samples N|--jobs N|--smoke|--check FILE]";
   match !check with
   | Some path -> check_file path
@@ -679,8 +683,9 @@ let () =
     Format.printf "seed: %d, jobs: %d@." !seed jobs;
     if !smoke then begin
       Format.printf
-        "smoke mode: strategy times, parallel calibration + a minimal \
-         microbench only.@.";
+        "smoke mode: tables 1-2 and every JSON section; the calibration, \
+         the fault, recovery and serve sweeps and the microbench at reduced \
+         sizes; no figures and no other studies.@.";
       tables ();
       write_bench_json ?pool ~out:!out ~seed:!seed ~samples:(40, 3, 2, 2)
         ~objects:20_000 ()
