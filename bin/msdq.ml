@@ -905,6 +905,10 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
         shed_policy;
       }
     in
+    (* Read the store once, before the run: a corrupt file fails before
+       anything is printed, and AUTO selection and the merge below see the
+       same contents. *)
+    let old_store = Option.bind store load_store in
     let out, auto_info =
       try
         match strategy with
@@ -918,8 +922,7 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
           (* An existing --store file also feeds selection: observed
              per-strategy latencies blend into the model's estimates. *)
           let a =
-            Serve.run_auto
-              ?store:(Option.bind store load_store)
+            Serve.run_auto ?store:old_store
               ~trace:(trace_out <> None) cfg fed
               (List.init queries (fun i -> (analysis, arrival_of i)))
           in
@@ -1054,7 +1057,7 @@ let serve queries arrival cache_mb window_us deadline_ms queue_limit
       let fresh = Msdq_telemetry.Store.create () in
       Run_report.record_serve_stats ~store:fresh out;
       let merged =
-        match load_store path with
+        match old_store with
         | Some old -> Msdq_telemetry.Store.merge old fresh
         | None -> fresh
       in

@@ -14,6 +14,8 @@ type score = {
   blended : float;
 }
 
+type cause = Breaker_open | Gray_site
+
 type decision = {
   preferred : Strategy.t;
   chosen : Strategy.t;
@@ -21,6 +23,7 @@ type decision = {
   scores : score list;
   predictions : Planner.prediction list;
   reason : string option;
+  cause : cause option;
 }
 
 (* How many query observations it takes for the store's evidence to weigh
@@ -126,6 +129,7 @@ let decide ?cost ?predictions ?store ?(objective = Planner.Response_time)
       scores;
       predictions;
       reason = None;
+      cause = None;
     }
   | (_ :: _), _ ->
     {
@@ -138,6 +142,7 @@ let decide ?cost ?predictions ?store ?(objective = Planner.Response_time)
         Some
           (Printf.sprintf "breaker open for site(s) %s: falling back to CA"
              (sites degraded_targets));
+      cause = Some Breaker_open;
     }
   | [], (_ :: _) ->
     {
@@ -151,6 +156,7 @@ let decide ?cost ?predictions ?store ?(objective = Planner.Response_time)
           (Printf.sprintf
              "check site(s) %s gray (slow but up): falling back to CA"
              (sites gray_targets));
+      cause = Some Gray_site;
     }
 
 let pp_decision ppf d =

@@ -44,6 +44,11 @@ type score = {
   blended : float;  (** the ranking key: smaller is better *)
 }
 
+(** Why a localized preference fell back to CA. *)
+type cause =
+  | Breaker_open  (** a check site's breaker is open ([degraded]) *)
+  | Gray_site  (** a check site is up but gray ([gray]) *)
+
 type decision = {
   preferred : Strategy.t;  (** unconstrained argmin of the blended score *)
   chosen : Strategy.t;  (** after degraded-site fallback *)
@@ -51,6 +56,7 @@ type decision = {
   scores : score list;  (** in {!candidates} order *)
   predictions : Planner.prediction list;  (** raw model predictions *)
   reason : string option;  (** why the fallback switched, when it did *)
+  cause : cause option;  (** the fallback's cause, when it switched *)
 }
 
 val check_sites : Federation.t -> Analysis.t -> int list

@@ -71,7 +71,7 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
     done;
     !b
   in
-  let g = Dag.create () in
+  let g = Engine.create () in
   let gsite = 0 in
   let site i = i + 1 in
   (match strategy with
@@ -80,10 +80,10 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
       List.init n_db (fun i ->
           let b = read_bytes ~localized:false i in
           let read =
-            Dag.task g ~site:(site i) ~kind:Resource.Disk ~label:"read"
+            Engine.task g ~site:(site i) ~kind:Resource.Disk ~label:"read"
               ~duration:(bytes_f b) ()
           in
-          Dag.transfer g ~src:(site i) ~dst:gsite ~label:"ship"
+          Engine.transfer g ~src:(site i) ~dst:gsite ~label:"ship"
             ~duration:(net_f b) ~deps:[ read ] ())
     in
     let integrate_units = ref 0.0 in
@@ -106,11 +106,11 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
         !eval_units +. (!entities_root *. fi (cls k).Params.n_p *. fi (k + 2))
     done;
     let integrate =
-      Dag.task g ~site:gsite ~kind:Resource.Cpu ~label:"integrate"
+      Engine.task g ~site:gsite ~kind:Resource.Cpu ~label:"integrate"
         ~duration:(cpu_f !integrate_units) ~deps:xfers ()
     in
     ignore
-      (Dag.task g ~site:gsite ~kind:Resource.Cpu ~label:"eval"
+      (Engine.task g ~site:gsite ~kind:Resource.Cpu ~label:"eval"
          ~duration:(cpu_f !eval_units) ~deps:[ integrate ] ())
   | Strategy.Cf ->
     (* Semijoin-filtered centralized: round 1 ships surviving GOid lists;
@@ -153,15 +153,15 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
                  *. fi (k + 1)
           done;
           let read =
-            Dag.task g ~site:(site i) ~kind:Resource.Disk ~label:"read"
+            Engine.task g ~site:(site i) ~kind:Resource.Disk ~label:"read"
               ~duration:(bytes_f (read_bytes ~localized:true i)) ()
           in
           let filt =
-            Dag.task g ~site:(site i) ~kind:Resource.Cpu ~label:"local-filter"
+            Engine.task g ~site:(site i) ~kind:Resource.Cpu ~label:"local-filter"
               ~duration:(cpu_f !eval_units) ~deps:[ read ] ()
           in
           let ship =
-            Dag.transfer g ~src:(site i) ~dst:gsite ~label:"ship-goids"
+            Engine.transfer g ~src:(site i) ~dst:gsite ~label:"ship-goids"
               ~duration:(net_f (survivors *. fi c.Cost.s_goid)) ~deps:[ filt ] ()
           in
           ships := ship :: !ships;
@@ -170,14 +170,14 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
     let entities = 1.0 +. other_copies in
     let global_candidates = !cand_total /. entities in
     let intersect =
-      Dag.task g ~site:gsite ~kind:Resource.Cpu ~label:"intersect"
+      Engine.task g ~site:gsite ~kind:Resource.Cpu ~label:"intersect"
         ~duration:(cpu_f !cand_total) ~deps:(List.rev !ships) ()
     in
     let xfers =
       List.map
         (fun (i, candidates) ->
           let bcast =
-            Dag.transfer g ~src:gsite ~dst:(site i) ~label:"ship-candidates"
+            Engine.transfer g ~src:gsite ~dst:(site i) ~label:"ship-candidates"
               ~duration:(net_f (global_candidates *. fi c.Cost.s_goid))
               ~deps:[ intersect ] ()
           in
@@ -192,10 +192,10 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
             b := !b +. (shipped *. fi (c.Cost.s_loid + (cd.Params.n_qa * c.Cost.s_a)))
           done;
           let read =
-            Dag.task g ~site:(site i) ~kind:Resource.Disk
+            Engine.task g ~site:(site i) ~kind:Resource.Disk
               ~label:"read-candidates" ~duration:(bytes_f !b) ~deps:[ bcast ] ()
           in
-          Dag.transfer g ~src:(site i) ~dst:gsite ~label:"ship" ~duration:(net_f !b)
+          Engine.transfer g ~src:(site i) ~dst:gsite ~label:"ship" ~duration:(net_f !b)
             ~deps:[ read ] ())
         round1
     in
@@ -215,11 +215,11 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
         !eval_units +. (global_candidates *. fi (cls k).Params.n_p *. fi (k + 2))
     done;
     let integrate =
-      Dag.task g ~site:gsite ~kind:Resource.Cpu ~label:"integrate"
+      Engine.task g ~site:gsite ~kind:Resource.Cpu ~label:"integrate"
         ~duration:(cpu_f !integrate_units) ~deps:xfers ()
     in
     ignore
-      (Dag.task g ~site:gsite ~kind:Resource.Cpu ~label:"eval"
+      (Engine.task g ~site:gsite ~kind:Resource.Cpu ~label:"eval"
          ~duration:(cpu_f !eval_units) ~deps:[ integrate ] ())
   | Strategy.Bl | Strategy.Pl | Strategy.Bls | Strategy.Pls | Strategy.Lo ->
     let parallel =
@@ -237,126 +237,126 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
     let with_checks = strategy <> Strategy.Lo in
     let global_deps = ref [] in
     (* Per-origin dispatch tasks and per (origin,target) request volumes. *)
-    let dispatch = Array.make n_db 0 in
     let iso_q = Array.init n_c isomer_q in
     let req_vol = Array.make_matrix n_db n_db 0.0 in
-    for i = 0 to n_db - 1 do
-      let root = at 0 i in
-      let sel = ref 1.0 and p_no_missing = ref 1.0 in
-      for k = 0 to n_c - 1 do
-        sel := !sel *. r_pps k i;
-        p_no_missing := !p_no_missing *. (1.0 -. (at k i).Params.r_m)
-      done;
-      let survivors = fi root.Params.n_o *. !sel in
-      let maybe = survivors *. (1.0 -. !p_no_missing) in
-      (* Unsolved (item, predicate) pairs per branch class, for BL
-         (survivors only) or PL (all root objects). Distinct items are
-         bounded by the referenced fraction of the branch extent; each item
-         carries one check per unsolved predicate: all the class-missing
-         predicates plus the nulled share of the locally present ones. *)
-      let base = if parallel then fi root.Params.n_o else maybe in
-      let items = Array.make n_c 0.0 in
-      for k = 1 to n_c - 1 do
-        let cd = at k i in
-        let missing = (cls k).Params.n_p - cd.Params.n_pa in
-        let null_rate = if missing > 0 then 0.1 else cd.Params.r_m in
-        let unsolved_per_item =
-          fi missing +. (null_rate *. fi cd.Params.n_pa)
-        in
-        let distinct = fi cd.Params.n_o *. (cls k).Params.r_r in
-        items.(k) <-
-          Float.min (base *. cd.Params.r_m) (distinct *. cd.Params.r_m)
-          *. unsolved_per_item
-      done;
-      let total_items = Array.fold_left ( +. ) 0.0 items in
-      (* Assistant fan-out to each other database. *)
-      let sig_checks = ref 0.0 in
-      for j = 0 to n_db - 1 do
-        if j <> i then begin
-          let vol = ref 0.0 in
-          for k = 1 to n_c - 1 do
-            let gc = cls k in
-            let capable =
-              if gc.Params.n_p = 0 then 1.0
-              else fi (at k j).Params.n_pa /. fi gc.Params.n_p
-            in
-            let base_req = items.(k) *. iso_q.(k) *. capable in
-            sig_checks := !sig_checks +. base_req;
-            let shipped =
-              if signatures then base_req *. (at k j).Params.r_ss else base_req
-            in
-            vol := !vol +. shipped
+    let dispatch =
+      Array.init n_db (fun i ->
+          let root = at 0 i in
+          let sel = ref 1.0 and p_no_missing = ref 1.0 in
+          for k = 0 to n_c - 1 do
+            sel := !sel *. r_pps k i;
+            p_no_missing := !p_no_missing *. (1.0 -. (at k i).Params.r_m)
           done;
-          req_vol.(i).(j) <- (if with_checks then !vol else 0.0)
-        end
-      done;
-      (* Work units. *)
-      let eval_units = ref (survivors (* row tagging *)) in
-      let probe_units = ref 0.0 in
-      for k = 0 to n_c - 1 do
-        let cd = at k i in
-        let local = fi root.Params.n_o *. fi cd.Params.n_pa *. fi (k + 2) in
-        let cut =
-          fi root.Params.n_o *. fi ((cls k).Params.n_p - cd.Params.n_pa) *. fi (k + 1)
-        in
-        eval_units := !eval_units +. local +. cut;
-        probe_units :=
-          !probe_units +. (fi root.Params.n_o *. fi (cls k).Params.n_p *. fi (k + 1))
-      done;
-      let dispatch_units =
-        if not with_checks then 0.0
-        else total_items +. (if signatures then !sig_checks else 0.0)
-      in
-      let read =
-        Dag.task g ~site:(site i) ~kind:Resource.Disk ~label:"read"
-          ~duration:(bytes_f (read_bytes ~localized:true i)) ()
-      in
-      let d, after =
-        if parallel then begin
-          let probe =
-            Dag.task g ~site:(site i) ~kind:Resource.Cpu ~label:"probe"
-              ~duration:(cpu_f !probe_units) ~deps:[ read ] ()
+          let survivors = fi root.Params.n_o *. !sel in
+          let maybe = survivors *. (1.0 -. !p_no_missing) in
+          (* Unsolved (item, predicate) pairs per branch class, for BL
+             (survivors only) or PL (all root objects). Distinct items are
+             bounded by the referenced fraction of the branch extent; each item
+             carries one check per unsolved predicate: all the class-missing
+             predicates plus the nulled share of the locally present ones. *)
+          let base = if parallel then fi root.Params.n_o else maybe in
+          let items = Array.make n_c 0.0 in
+          for k = 1 to n_c - 1 do
+            let cd = at k i in
+            let missing = (cls k).Params.n_p - cd.Params.n_pa in
+            let null_rate = if missing > 0 then 0.1 else cd.Params.r_m in
+            let unsolved_per_item =
+              fi missing +. (null_rate *. fi cd.Params.n_pa)
+            in
+            let distinct = fi cd.Params.n_o *. (cls k).Params.r_r in
+            items.(k) <-
+              Float.min (base *. cd.Params.r_m) (distinct *. cd.Params.r_m)
+              *. unsolved_per_item
+          done;
+          let total_items = Array.fold_left ( +. ) 0.0 items in
+          (* Assistant fan-out to each other database. *)
+          let sig_checks = ref 0.0 in
+          for j = 0 to n_db - 1 do
+            if j <> i then begin
+              let vol = ref 0.0 in
+              for k = 1 to n_c - 1 do
+                let gc = cls k in
+                let capable =
+                  if gc.Params.n_p = 0 then 1.0
+                  else fi (at k j).Params.n_pa /. fi gc.Params.n_p
+                in
+                let base_req = items.(k) *. iso_q.(k) *. capable in
+                sig_checks := !sig_checks +. base_req;
+                let shipped =
+                  if signatures then base_req *. (at k j).Params.r_ss else base_req
+                in
+                vol := !vol +. shipped
+              done;
+              req_vol.(i).(j) <- (if with_checks then !vol else 0.0)
+            end
+          done;
+          (* Work units. *)
+          let eval_units = ref (survivors (* row tagging *)) in
+          let probe_units = ref 0.0 in
+          for k = 0 to n_c - 1 do
+            let cd = at k i in
+            let local = fi root.Params.n_o *. fi cd.Params.n_pa *. fi (k + 2) in
+            let cut =
+              fi root.Params.n_o *. fi ((cls k).Params.n_p - cd.Params.n_pa) *. fi (k + 1)
+            in
+            eval_units := !eval_units +. local +. cut;
+            probe_units :=
+              !probe_units +. (fi root.Params.n_o *. fi (cls k).Params.n_p *. fi (k + 1))
+          done;
+          let dispatch_units =
+            if not with_checks then 0.0
+            else total_items +. (if signatures then !sig_checks else 0.0)
           in
-          let d =
-            Dag.task g ~site:(site i) ~kind:Resource.Cpu ~label:"dispatch"
-              ~duration:(cpu_f dispatch_units) ~deps:[ probe ] ()
+          let read =
+            Engine.task g ~site:(site i) ~kind:Resource.Disk ~label:"read"
+              ~duration:(bytes_f (read_bytes ~localized:true i)) ()
           in
-          let eval =
-            Dag.task g ~site:(site i) ~kind:Resource.Cpu ~label:"eval"
-              ~duration:(cpu_f !eval_units) ~deps:[ d ] ()
+          let d, after =
+            if parallel then begin
+              let probe =
+                Engine.task g ~site:(site i) ~kind:Resource.Cpu ~label:"probe"
+                  ~duration:(cpu_f !probe_units) ~deps:[ read ] ()
+              in
+              let d =
+                Engine.task g ~site:(site i) ~kind:Resource.Cpu ~label:"dispatch"
+                  ~duration:(cpu_f dispatch_units) ~deps:[ probe ] ()
+              in
+              let eval =
+                Engine.task g ~site:(site i) ~kind:Resource.Cpu ~label:"eval"
+                  ~duration:(cpu_f !eval_units) ~deps:[ d ] ()
+              in
+              (d, eval)
+            end
+            else begin
+              let eval =
+                Engine.task g ~site:(site i) ~kind:Resource.Cpu ~label:"eval"
+                  ~duration:(cpu_f !eval_units) ~deps:[ read ] ()
+              in
+              let d =
+                Engine.task g ~site:(site i) ~kind:Resource.Cpu ~label:"dispatch"
+                  ~duration:(cpu_f dispatch_units) ~deps:[ eval ] ()
+              in
+              (d, d)
+            end
           in
-          (d, eval)
-        end
-        else begin
-          let eval =
-            Dag.task g ~site:(site i) ~kind:Resource.Cpu ~label:"eval"
-              ~duration:(cpu_f !eval_units) ~deps:[ read ] ()
+          (* Local results to the global site. *)
+          let n_ta_total = ref 0 and unsolved_avg = ref 0.0 in
+          for k = 0 to n_c - 1 do
+            n_ta_total := !n_ta_total + (at k i).Params.n_ta;
+            unsolved_avg := !unsolved_avg +. (at k i).Params.r_m
+          done;
+          let results_bytes =
+            survivors
+            *. fi (c.Cost.s_goid + c.Cost.s_loid + (!n_ta_total * c.Cost.s_a))
+            +. (maybe *. !unsolved_avg *. fi (c.Cost.s_loid + c.Cost.s_a))
           in
-          let d =
-            Dag.task g ~site:(site i) ~kind:Resource.Cpu ~label:"dispatch"
-              ~duration:(cpu_f dispatch_units) ~deps:[ eval ] ()
+          let ship =
+            Engine.transfer g ~src:(site i) ~dst:gsite ~label:"ship-results"
+              ~duration:(net_f results_bytes) ~deps:[ after ] ()
           in
-          (d, d)
-        end
-      in
-      dispatch.(i) <- d;
-      (* Local results to the global site. *)
-      let n_ta_total = ref 0 and unsolved_avg = ref 0.0 in
-      for k = 0 to n_c - 1 do
-        n_ta_total := !n_ta_total + (at k i).Params.n_ta;
-        unsolved_avg := !unsolved_avg +. (at k i).Params.r_m
-      done;
-      let results_bytes =
-        survivors
-        *. fi (c.Cost.s_goid + c.Cost.s_loid + (!n_ta_total * c.Cost.s_a))
-        +. (maybe *. !unsolved_avg *. fi (c.Cost.s_loid + c.Cost.s_a))
-      in
-      let ship =
-        Dag.transfer g ~src:(site i) ~dst:gsite ~label:"ship-results"
-          ~duration:(net_f results_bytes) ~deps:[ after ] ()
-      in
-      global_deps := ship :: !global_deps
-    done;
+          global_deps := ship :: !global_deps;
+          d)
+    in
     (* Check round trips per (origin, target). *)
     let total_verdicts = ref 0.0 in
     for i = 0 to n_db - 1 do
@@ -365,23 +365,23 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
           let n = req_vol.(i).(j) in
           total_verdicts := !total_verdicts +. n;
           let req_xfer =
-            Dag.transfer g ~src:(site i) ~dst:(site j) ~label:"ship-requests"
+            Engine.transfer g ~src:(site i) ~dst:(site j) ~label:"ship-requests"
               ~duration:(net_f (n *. fi ((2 * c.Cost.s_loid) + (2 * c.Cost.s_a))))
               ~deps:[ dispatch.(i) ] ()
           in
           let read =
-            Dag.task g ~site:(site j) ~kind:Resource.Disk ~label:"check-read"
+            Engine.task g ~site:(site j) ~kind:Resource.Disk ~label:"check-read"
               ~duration:
                 (bytes_f
                    (n *. fi (max c.Cost.s_page (c.Cost.s_loid + (2 * c.Cost.s_a)))))
               ~deps:[ req_xfer ] ()
           in
           let eval =
-            Dag.task g ~site:(site j) ~kind:Resource.Cpu ~label:"check-eval"
+            Engine.task g ~site:(site j) ~kind:Resource.Cpu ~label:"check-eval"
               ~duration:(cpu_f (n *. 2.0)) ~deps:[ read ] ()
           in
           let verdicts =
-            Dag.transfer g ~src:(site j) ~dst:gsite ~label:"ship-verdicts"
+            Engine.transfer g ~src:(site j) ~dst:gsite ~label:"ship-verdicts"
               ~duration:(net_f (n *. fi (c.Cost.s_loid + 2)))
               ~deps:[ eval ] ()
           in
@@ -405,10 +405,11 @@ let simulate ?(overrides = no_overrides) ~cost strategy (s : Params.sample) =
       certify_units := !certify_units +. (survivors *. fi (1 + !n_p_total))
     done;
     ignore
-      (Dag.task g ~site:gsite ~kind:Resource.Cpu ~label:"certify"
+      (Engine.task g ~site:gsite ~kind:Resource.Cpu ~label:"certify"
          ~duration:(cpu_f !certify_units) ~deps:(List.rev !global_deps) ()));
-  let run = Dag.run g in
-  { total = run.Dag.total_busy; response = run.Dag.makespan }
+  Engine.run g;
+  let run = Engine.totals g in
+  { total = run.Engine.total_busy; response = run.Engine.makespan }
 
 (* Sample [i] draws from [Rng.split_ix base ~i] — a private stream per index
    rather than one shared sequential stream. Two consequences:

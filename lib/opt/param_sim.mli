@@ -8,9 +8,9 @@
     every phase (survivors after local predicates, maybe ratios, unsolved
     items, assistant fan-out from [R_iso] and [N_iso], check selectivities),
     builds the same task graph the concrete executor builds — same sites,
-    same resources, same dependencies — and runs it through the static DAG
-    runner {!Msdq_simkit.Dag}, which schedules exactly as the
-    discrete-event engine would.
+    same resources, same dependencies — and runs it through the
+    discrete-event engine {!Msdq_simkit.Engine}, reading only its
+    {!Msdq_simkit.Engine.totals}.
 
     The estimation formulas are documented inline; DESIGN.md discusses how
     each maps to a Table 2 parameter. *)

@@ -1724,12 +1724,8 @@ let run_auto ?(tracer = Tracer.disabled) ?registry ?(trace = false) ?store
             Optimizer.decide ~predictions:(Lazy.force m.q_auto) ?store
               ?objective ~degraded ~gray ~overload fed analysis
           in
-          (match d.Optimizer.reason with
-          | Some r
-            when String.length r >= 13 && String.sub r 0 13 = "check site(s)"
-            ->
-              bump wl "msdq_gray_fallbacks_total" [] 1
-          | _ -> ());
+          if d.Optimizer.cause = Some Optimizer.Gray_site then
+            bump wl "msdq_gray_fallbacks_total" [] 1;
           let predicted_of st =
             match
               List.find_opt

@@ -4,22 +4,26 @@
    generate's sizes, validate's seed count, serve's flapping period and
    cache size, and the link-fault knobs of serve and the sweeps. serve
    --sweep draws its own streams, so it refuses every flag that sets up
-   one stream instead of ignoring it. *)
+   one stream instead of ignoring it. serve reads its --store file before
+   the run, so a corrupt one fails before anything is printed. *)
 
 let msdq_exe = Testutil.beside_exe "../bin/msdq.exe"
 
-(* Exit code and stderr of [msdq args]; stdout is discarded. *)
+(* Exit code, stdout and stderr of [msdq args]. *)
 let run args =
+  let out = Filename.temp_file "msdq_cli" ".txt" in
   let err = Filename.temp_file "msdq_cli" ".txt" in
-  let rc =
-    Sys.command (Filename.quote_command msdq_exe ~stdout:Filename.null ~stderr:err args)
+  let rc = Sys.command (Filename.quote_command msdq_exe ~stdout:out ~stderr:err args) in
+  let read f =
+    let text = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    text
   in
-  let text = In_channel.with_open_bin err In_channel.input_all in
-  Sys.remove err;
-  (rc, text)
+  let out = read out in
+  (rc, out, read err)
 
 let rejects ?(needle = "--samples must be >= 1") args () =
-  let rc, err = run args in
+  let rc, _, err = run args in
   let cmd = String.concat " " args in
   Alcotest.(check int) (cmd ^ " exit code") 1 rc;
   Alcotest.(check bool) (cmd ^ " says " ^ needle) true
@@ -106,6 +110,24 @@ let suite =
         Alcotest.(check bool) "--store wrote no file" false (Sys.file_exists store);
         Alcotest.(check bool) "--trace-out wrote no file" false
           (Sys.file_exists trace));
+    Alcotest.test_case "serve with a corrupt --store prints nothing" `Quick
+      (fun () ->
+        let store = Filename.temp_file "msdq_cli" ".json" in
+        Out_channel.with_open_bin store (fun oc ->
+            Out_channel.output_string oc "{\"version\": ");
+        List.iter
+          (fun strategy ->
+            let args =
+              [ "serve"; "--store"; store; "--queries"; "2"; "--json"; "--strategy"; strategy ]
+            in
+            let rc, out, err = run args in
+            let cmd = String.concat " " args in
+            Alcotest.(check int) (cmd ^ " exit code") 1 rc;
+            Alcotest.(check string) (cmd ^ " stdout") "" out;
+            Alcotest.(check bool) (cmd ^ " names the store") true
+              (Testutil.contains ~needle:("cannot load " ^ store) err))
+          [ "CA"; "AUTO" ];
+        Sys.remove store);
     Alcotest.test_case "validate rejects --seeds 0 and -3" `Quick (fun () ->
         let needle = "--seeds must be >= 1" in
         rejects ~needle [ "validate"; "--seeds"; "0" ] ();

@@ -108,6 +108,34 @@ let test_invalid_duration () =
        false
      with Invalid_argument _ -> true)
 
+(* The remaining invalid arguments raise before anything is recorded: a
+   site indexes the engine's resource arrays, so a negative one is
+   refused. *)
+let test_invalid_arguments () =
+  let e = Engine.create ~trace:true () in
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "infinite duration" true
+    (raises (fun () ->
+         Engine.task e ~site:0 ~kind:Resource.Cpu ~label:"bad" ~duration:Float.infinity ()));
+  Alcotest.(check bool) "negative delay" true
+    (raises (fun () -> Engine.delay e ~label:"bad" ~duration:(-1.0) ()));
+  Alcotest.(check bool) "negative site" true
+    (raises (fun () ->
+         Engine.task e ~site:(-1) ~kind:Resource.Cpu ~label:"bad" ~duration:1.0 ()));
+  Alcotest.(check bool) "transfer into a negative site" true
+    (raises (fun () -> Engine.transfer e ~src:0 ~dst:(-1) ~label:"bad" ~duration:1.0 ()));
+  Alcotest.(check bool) "speed of a negative site" true
+    (raises (fun () -> Engine.set_speed e ~site:(-1) ~kind:Resource.Cpu ~factor:2.0));
+  ignore (Engine.fence e ~label:"ok" ());
+  Engine.run e;
+  Alcotest.(check (list string)) "only the accepted task ran" [ "ok" ]
+    (List.map (fun (x : Trace.entry) -> x.label) (Trace.entries (Engine.trace e)))
+
 let test_stats_breakdown () =
   let e = Engine.create () in
   let _ = Engine.task e ~site:0 ~kind:Resource.Cpu ~label:"eval" ~duration:(Time.us 4.0) () in
@@ -313,6 +341,7 @@ let suite =
     Alcotest.test_case "fence and delay" `Quick test_fence_and_delay;
     Alcotest.test_case "re-run continues clock" `Quick test_rerun;
     Alcotest.test_case "invalid durations rejected" `Quick test_invalid_duration;
+    Alcotest.test_case "invalid arguments rejected" `Quick test_invalid_arguments;
     Alcotest.test_case "stats breakdown" `Quick test_stats_breakdown;
     Alcotest.test_case "trace" `Quick test_trace;
     Alcotest.test_case "stuck diagnostics" `Quick test_stuck_diagnostics;

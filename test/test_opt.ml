@@ -302,6 +302,26 @@ let test_degraded_falls_back_to_ca () =
     "a CA preference never switches" true
     (d2.Optimizer.chosen = Strategy.Ca && not d2.Optimizer.switched)
 
+(* The fallback's cause is typed: a gray check site gives [Gray_site], a
+   degraded one [Breaker_open], and a site both gray and degraded keeps the
+   breaker's cause. *)
+let test_fallback_cause () =
+  let fed, analyze = setup () in
+  let analysis = analyze Paper_example.q1 in
+  let sites = Optimizer.check_sites fed analysis in
+  let store = store_preferring Strategy.Pl in
+  let check name ?degraded ?gray chosen cause =
+    let d = Optimizer.decide ~store ?degraded ?gray fed analysis in
+    Alcotest.check strategy (name ^ ": chosen") chosen d.Optimizer.chosen;
+    Alcotest.(check bool) (name ^ ": cause") true (d.Optimizer.cause = cause)
+  in
+  check "no signal" Strategy.Pl None;
+  check "gray" ~gray:[ List.hd sites ] Strategy.Ca (Some Optimizer.Gray_site);
+  check "degraded" ~degraded:[ List.hd sites ] Strategy.Ca
+    (Some Optimizer.Breaker_open);
+  check "gray and degraded" ~gray:sites ~degraded:sites Strategy.Ca
+    (Some Optimizer.Breaker_open)
+
 let serve_config ?(options = Strategy.default_options) () =
   {
     Serve.default_config with
@@ -446,6 +466,43 @@ let test_breaker_forces_ca () =
     (List.length (List.filter (fun d -> d.Serve.d_switched) a.Serve.decisions))
     a.Serve.switches
 
+(* Every check site's incoming link runs at twice its latency: with
+   adaptive timeouts, each delivered check leg is slow, the sites turn
+   gray after two PL queries, and every later query falls back to CA. The
+   workload counter counts exactly the decisions with the gray cause. *)
+let test_gray_fallbacks_counted () =
+  let fed, analyze = setup () in
+  let analysis = analyze Paper_example.q1 in
+  let fault =
+    {
+      Fault.none with
+      Fault.links =
+        List.map
+          (fun dst -> { Fault.dst; drop = 0.0; inflate = 2.0; jitter = 0.0 })
+          (Optimizer.check_sites fed analysis);
+    }
+  in
+  let retry =
+    { Strategy.default_retry with Strategy.adaptive = Some Strategy.default_adaptive }
+  in
+  let options = { Strategy.default_options with Strategy.fault; retry } in
+  let jobs = List.init 6 (fun i -> (analysis, us (float_of_int i *. 300.0))) in
+  let a =
+    Serve.run_auto ~store:(store_preferring Strategy.Pl) (serve_config ~options ())
+      fed jobs
+  in
+  let gray =
+    List.filter
+      (fun d ->
+        match d.Serve.d_reason with
+        | Some r -> contains r "gray (slow but up)"
+        | None -> false)
+      a.Serve.decisions
+  in
+  Alcotest.(check bool) "later queries fall back" true (gray <> []);
+  Alcotest.(check int) "one count per gray fallback" (List.length gray)
+    (Msdq_obs.Metrics.total a.Serve.auto.Serve.registry "msdq_gray_fallbacks_total")
+
 (* ---- AUTO never changes an answer (qcheck) ----
 
    For any synthesized federation/query, any seeded fault schedule and any
@@ -540,6 +597,10 @@ let suite =
       test_degraded_falls_back_to_ca;
     Alcotest.test_case "serve: breaker re-plans onto CA" `Quick
       test_breaker_forces_ca;
+    Alcotest.test_case "decide: the fallback's cause is typed" `Quick
+      test_fallback_cause;
+    Alcotest.test_case "serve: gray fallbacks are counted" `Quick
+      test_gray_fallbacks_counted;
     QCheck_alcotest.to_alcotest prop_auto_equals_fixed;
     Alcotest.test_case "auto-sweep win condition" `Quick
       test_auto_sweep_win_condition;
