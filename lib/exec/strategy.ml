@@ -1720,12 +1720,12 @@ let run ?(options = default_options) strategy fed analysis =
   let finish = build e ~reg ~tracer options strategy fed analysis in
   Engine.run e;
   let f = finish () in
-  let stats = Engine.stats e in
+  let stats = Engine.stats e and trace = Engine.trace e in
   let total = Stats.total_busy stats in
   let response = Stats.makespan stats in
   finalize_registry reg strategy ~total ~response;
   if options.telemetry then begin
-    record_latency_histograms reg (Trace.entries (Engine.trace e));
+    record_latency_histograms reg (Trace.entries trace);
     observe_query_latency reg ~sname:(to_string strategy) response
   end;
   if f.f_availability.faults_active then begin
@@ -1757,7 +1757,7 @@ let run ?(options = default_options) strategy fed analysis =
       eliminated_at_global = f.f_eliminated;
       conflicts = f.f_conflicts;
       breakdown = Stats.by_label stats;
-      trace = Engine.trace e;
+      trace;
       registry = reg;
       host_spans = Tracer.spans tracer;
       availability = f.f_availability;
