@@ -14,7 +14,6 @@ type 'a t = {
 
 let create () = { prios = [||]; seqs = [||]; values = [||]; size = 0; next_seq = 0 }
 let is_empty h = h.size = 0
-let size h = h.size
 
 (* Grows the backing arrays, using [value] to fill the fresh payload cells;
    cells beyond [size] are never read before being overwritten. *)
@@ -95,9 +94,3 @@ let pop h =
     move h ~src:last ~dst:!i
   end;
   top
-
-let clear h =
-  h.prios <- [||];
-  h.seqs <- [||];
-  h.values <- [||];
-  h.size <- 0

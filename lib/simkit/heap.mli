@@ -14,13 +14,9 @@ val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
-val size : 'a t -> int
-
 val push : 'a t -> priority:float -> 'a -> unit
 
 val pop : 'a t -> 'a
 (** Removes and returns the entry with the smallest priority; among equal
     priorities, the one pushed first. Raises [Invalid_argument] on an empty
     heap. *)
-
-val clear : 'a t -> unit
