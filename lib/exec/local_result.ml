@@ -25,25 +25,3 @@ type t = {
 }
 
 let is_solved row = row.unsolved = []
-
-let row_is_root_only row =
-  List.for_all
-    (fun u -> Oid.Loid.equal (Dbobject.loid u.item) (Dbobject.loid row.obj))
-    row.unsolved
-
-let pp_row ppf r =
-  let pp_unsolved ppf u =
-    Format.fprintf ppf "atom %d blocked at %s(%a) on %a" u.atom
-      (Dbobject.cls u.item) Oid.Loid.pp (Dbobject.loid u.item) Path.pp u.rest
-  in
-  Format.fprintf ppf "@[<v 2>%a@%s -> %a%s@,%a@]" Oid.Loid.pp
-    (Dbobject.loid r.obj) r.db Oid.Goid.pp r.goid
-    (if is_solved r then " (solved)" else "")
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_unsolved)
-    r.unsolved
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s: %d rows (%d examined, %d eliminated)@,%a@]" t.db
-    (List.length t.rows) t.examined t.eliminated
-    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_row)
-    t.rows

@@ -19,7 +19,9 @@ type row = {
   db : string;
   obj : Dbobject.t;  (** the local root object *)
   goid : Oid.Goid.t;
-  truths : Truth.t array;  (** per atom, locally determined *)
+  truths : Truth.t array;
+      (** per atom, locally determined; rows may share one array, so
+          never write to it *)
   unsolved : unsolved list;  (** exactly the atoms whose truth is Unknown *)
   values : Value.t option array;  (** per target; [None] = not locally derivable *)
 }
@@ -34,11 +36,3 @@ type t = {
 
 val is_solved : row -> bool
 (** No unsolved atoms: a locally certain result (pending global merge). *)
-
-val row_is_root_only : row -> bool
-(** All unsolved items are the root object itself (paper: "only the local
-    root class holds the missing attributes"). *)
-
-val pp_row : Format.formatter -> row -> unit
-
-val pp : Format.formatter -> t -> unit

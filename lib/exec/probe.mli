@@ -1,16 +1,11 @@
-(** Missing-data probing — phase O's discovery part in PL (step PL_C1).
-
-    Walks every atom's path on {e every} object of the local root class,
-    recording where evaluation would block, {e without} evaluating any
-    comparison: the parallel localized approach looks up assistant objects
-    before the local predicates run, so it probes all objects — not just the
-    survivors — which is exactly its extra overhead over BL. *)
+(** Missing-data probing — phase O's discovery part in PL (step PL_C1),
+    as one call: {!Local_eval.scan} then {!Local_eval.probe}. *)
 
 open Msdq_odb
 open Msdq_fed
 open Msdq_query
 
-type t = {
+type t = Local_eval.probe = {
   db : string;
   items : Local_result.unsolved list;
       (** one entry per (object, blocked atom), in extent order; includes

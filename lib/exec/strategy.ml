@@ -660,14 +660,11 @@ let check_batches requests =
     requests;
   List.rev_map (fun key -> (key, List.rev !(Hashtbl.find batches key))) !order
 
-let local_evaluation ~tracer fed analysis ~db =
-  (Local_eval.run ~tracer fed analysis ~db, Touch.count ~tracer fed analysis ~db)
-
 let plan_localized ?local ?signatures ~tracer c ~parallel ~checks fed analysis =
   let local =
     match local with
     | Some f -> f
-    | None -> fun db -> local_evaluation ~tracer fed analysis ~db
+    | None -> fun db -> Local_eval.scan ~tracer fed analysis ~db
   in
   let gs = Federation.global_schema fed in
   let involved = Involved.compute (Global_schema.schema gs) analysis in
@@ -676,10 +673,12 @@ let plan_localized ?local ?signatures ~tracer c ~parallel ~checks fed analysis =
     List.map
       (fun (plan : Localize.db_plan) ->
         let db = plan.Localize.db in
+        let scan = local db in
+        let result = Local_eval.result ~tracer scan in
+        let touched = Local_eval.touched scan in
         let probe =
-          if parallel then Some (Probe.run ~tracer fed analysis ~db) else None
+          if parallel then Some (Local_eval.probe ~tracer scan) else None
         in
-        let result, touched = local db in
         let built =
           if not checks then no_checks
           else
@@ -687,7 +686,7 @@ let plan_localized ?local ?signatures ~tracer c ~parallel ~checks fed analysis =
                items of the maybe rows. *)
             let items =
               match probe with
-              | Some p -> p.Probe.items
+              | Some p -> p.Local_eval.items
               | None ->
                 List.concat_map
                   (fun (row : Local_result.row) -> row.Local_result.unsolved)
@@ -702,7 +701,8 @@ let plan_localized ?local ?signatures ~tracer c ~parallel ~checks fed analysis =
           touched;
           result;
           built;
-          probe_units = Option.map (fun p -> units_of_work p.Probe.work) probe;
+          probe_units =
+            Option.map (fun p -> units_of_work p.Local_eval.work) probe;
           (* local GOid lookups for row tagging happen during evaluation *)
           eval_units =
             units_of_work result.Local_result.work

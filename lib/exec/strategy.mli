@@ -246,7 +246,7 @@ val run : ?options:options -> t -> Federation.t -> Analysis.t -> Answer.t * metr
 type local_phase = {
   db : string;
   site : int;  (** the database's site *)
-  touched : (string * int) list;  (** {!Touch.count} *)
+  touched : (string * int) list;  (** {!Local_eval.touched} *)
   result : Local_result.t;
   built : Checks.built;  (** no requests for LO *)
   probe_units : int option;  (** probe work, PL/PLS only *)
@@ -272,14 +272,8 @@ type localized_plan = {
   local_verdicts : Checks.verdict list;  (** each phase's, in phase order *)
 }
 
-val local_evaluation :
-  tracer:Msdq_obs.Tracer.t -> Federation.t -> Analysis.t -> db:string ->
-  Local_result.t * (string * int) list
-(** One database's {!Local_eval.run} and {!Touch.count}: the part of a
-    localized plan that every localized strategy shares. *)
-
 val plan_localized :
-  ?local:(string -> Local_result.t * (string * int) list) ->
+  ?local:(string -> Local_eval.scan) ->
   ?signatures:Sig_catalog.t -> tracer:Msdq_obs.Tracer.t -> Cost.t ->
   parallel:bool -> checks:bool -> Federation.t -> Analysis.t -> localized_plan
 (** The localized plan of BL ([parallel = false]), PL ([parallel = true])
@@ -287,7 +281,8 @@ val plan_localized :
     root object first and builds checks over the probe's missing items;
     otherwise the checks cover the unsolved items of the maybe rows.
     [signatures] pre-filters the checks (BLS/PLS). [local db] supplies each
-    database's {!local_evaluation}; by default it runs here. *)
+    database's {!Local_eval.scan}, by default made here: the phase takes
+    its local result, touched counts and PL's probe from it. *)
 
 val full_verdicts : localized_plan -> Checks.verdict list
 (** What full delivery brings the global site: the local verdicts, then

@@ -17,7 +17,7 @@ val localized_read_bytes :
   Cost.t -> Involved.t -> Global_schema.t -> db_name:string ->
   touched:(string * int) list -> int
 (** Disk bytes a localized evaluation reads: the root extent plus only the
-    {e touched} branch objects (see [Touch]), each projected on the involved
+    {e touched} branch objects ({!Local_eval.touched}), each projected on the involved
     attributes. *)
 
 val local_row_bytes : Cost.t -> n_targets:int -> Local_result.row -> int

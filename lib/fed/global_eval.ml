@@ -80,10 +80,10 @@ let project ?meter view gobj path =
 
 (* ---- Paths resolved to global slots ---- *)
 
-(* As [Msdq_odb.Slot_path] over the integrated view: each step caches the
-   global class it was resolved for and the attribute's slot there, and an
-   object of another class re-resolves the step by name. Only the root
-   class is known before the walk; the first entity resolves the rest. *)
+(* A path resolved to global slots: each step caches the global class it
+   was resolved for and the attribute's slot there, and an object of
+   another class re-resolves the step by name. Only the root class is
+   known before the walk; the first entity resolves the rest. *)
 type gstep = {
   name : string;
   suffix : Path.t;

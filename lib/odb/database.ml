@@ -41,6 +41,10 @@ let locate t loid =
   let i = Oid.Loid.to_int loid in
   if i >= 0 && i < t.next_loid then Some (t.homes.(i), t.rows.(i)) else None
 
+let row_of t i =
+  if i >= 0 && i < t.next_loid then Array.unsafe_get t.rows i
+  else invalid_arg (Printf.sprintf "Database.row_of: %s has no LOid %d" t.name i)
+
 let deref t = function
   | Value.Ref l -> get t l
   | Value.Null | Value.Int _ | Value.Float _ | Value.Str _ | Value.Bool _ -> None

@@ -35,6 +35,11 @@ val locate : t -> Oid.Loid.t -> (Extent.t * int) option
     database never allocated. A lookup is two array loads: LOids are dense
     from 0 (see {!add}). *)
 
+val row_of : t -> int -> int
+(** [row_of t i] is the row, in its class extent, of the object whose LOid
+    is [i]: {!locate} without the extent and without allocating. Raises
+    [Invalid_argument] for an LOid the database never allocated. *)
+
 val deref : t -> Value.t -> Dbobject.t option
 (** [deref db (Ref l)] follows a reference; [None] for any other value. *)
 

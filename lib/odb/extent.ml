@@ -152,6 +152,18 @@ let append t obj =
   t.n <- r + 1;
   r
 
+(* ---- column access ---- *)
+
+let slot t attr = match Hashtbl.find_opt t.slots attr with Some i -> i | None -> -1
+let column_type t slot = t.cols.(slot).ctype
+let present t slot r = Bitset.mem t.cols.(slot).present r
+
+let target t slot r =
+  match t.cols.(slot).data with
+  | D_ref a -> a.(r)
+  | D_int _ | D_float _ | D_str _ | D_bool _ ->
+    invalid_arg (Printf.sprintf "Extent.target: column %d of %s holds no references" slot t.cls)
+
 (* ---- columnar predicate evaluation ---- *)
 
 type verdict = V_sat | V_viol | V_null | V_missing

@@ -42,6 +42,25 @@ val signatures : t -> Sigset.t
 (** The extent's columnar signature store, maintained on {!append}; row
     indices agree with the extent's. *)
 
+(** {2 Column access}
+
+    For walks that follow references column by column ({!Scan}). *)
+
+val slot : t -> string -> int
+(** The column of an attribute, or [-1] when the class does not define
+    it. Columns are numbered as the class's fields. *)
+
+val column_type : t -> int -> Schema.attr_type
+
+val present : t -> int -> int -> bool
+(** [present t slot r]: whether row [r] holds a value, not [Null], in
+    column [slot]. *)
+
+val target : t -> int -> int -> int
+(** [target t slot r]: the LOid, as an int, that the reference column
+    [slot] holds at row [r]; meaningful only where {!present}. Raises
+    [Invalid_argument] on a primitive column. *)
+
 (** {2 Columnar predicate evaluation} *)
 
 type verdict =

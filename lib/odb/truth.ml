@@ -16,6 +16,8 @@ let neg = function True -> False | False -> True | Unknown -> Unknown
 let conj_all ts = List.fold_left conj True ts
 let disj_all ts = List.fold_left disj False ts
 let of_bool b = if b then True else False
+let code = function False -> '\000' | Unknown -> '\001' | True -> '\002'
+let of_code = function '\000' -> False | '\001' -> Unknown | _ -> True
 let equal (a : t) (b : t) = a = b
 
 let to_string = function

@@ -19,6 +19,17 @@ val disj_all : t list -> t
 
 val of_bool : bool -> t
 
+(** {2 Truth columns}
+
+    A truth column holds one byte per row: [False] is 0, [Unknown] 1 and
+    [True] 2, so Kleene conjunction is the minimum of two codes,
+    disjunction the maximum and negation [2 - code]. *)
+
+val code : t -> char
+
+val of_code : char -> t
+(** The inverse of {!code}; any byte above 2 reads as [True]. *)
+
 val equal : t -> t -> bool
 
 val to_string : t -> string

@@ -52,7 +52,7 @@ let isomerism_ratio fed ~gcls =
     float_of_int multi /. float_of_int total
 
 (* Referenced fraction of a branch class, averaged over root-hosting
-   databases (Touch counts the distinct objects actually reachable). *)
+   databases (the scan counts the distinct objects actually reachable). *)
 let reference_ratios fed analysis =
   let gs = Federation.global_schema fed in
   let root = analysis.Analysis.range_class in
@@ -76,7 +76,7 @@ let reference_ratios fed analysis =
                   | None -> Hashtbl.add per_class gcls (ref [ ratio ])
                 end
             end)
-          (Touch.count fed analysis ~db:db_name))
+          (Local_eval.touched (Local_eval.scan fed analysis ~db:db_name)))
     (Federation.databases fed);
   fun gcls ->
     match Hashtbl.find_opt per_class gcls with

@@ -75,6 +75,46 @@ and disj_all truths acc = function
   | [] -> acc
   | t :: ts -> disj_all truths (Truth.disj acc (eval_indexed truths t)) ts
 
+(* [fill columns out ~rows t] writes [t]'s truth column into [out]; a
+   conjunction or disjunction folds each operand into [out] with the
+   minimum or maximum code, through a scratch column only for operands that
+   are not atoms. *)
+let rec fill columns out ~rows = function
+  | I_atom i -> Bytes.blit columns.(i) 0 out 0 rows
+  | I_unknown -> Bytes.fill out 0 rows (Truth.code Truth.Unknown)
+  | I_not t ->
+    fill columns out ~rows t;
+    for r = 0 to rows - 1 do
+      Bytes.unsafe_set out r
+        (Char.unsafe_chr (2 - Char.code (Bytes.unsafe_get out r)))
+    done
+  | I_and ts ->
+    Bytes.fill out 0 rows (Truth.code Truth.True);
+    List.iter (fold columns out ~rows ~conj:true) ts
+  | I_or ts ->
+    Bytes.fill out 0 rows (Truth.code Truth.False);
+    List.iter (fold columns out ~rows ~conj:false) ts
+
+and fold columns out ~rows ~conj t =
+  let col =
+    match t with
+    | I_atom i -> columns.(i)
+    | I_unknown | I_and _ | I_or _ | I_not _ ->
+      let col = Bytes.create rows in
+      fill columns col ~rows t;
+      col
+  in
+  for r = 0 to rows - 1 do
+    let c = Bytes.unsafe_get col r in
+    if if conj then c < Bytes.unsafe_get out r else c > Bytes.unsafe_get out r
+    then Bytes.unsafe_set out r c
+  done
+
+let eval_columns columns ~rows t =
+  let out = Bytes.create rows in
+  fill columns out ~rows t;
+  out
+
 let rec map_atoms f = function
   | Atom p -> Atom (f p)
   | And ts -> And (List.map (map_atoms f) ts)

@@ -45,6 +45,13 @@ val eval_indexed : Truth.t array -> indexed -> Truth.t
     [oracle p] is [truths.(i)] for the first [i] with
     [Predicate.equal atoms.(i) p], and [Unknown] when there is none. *)
 
+val eval_columns : Bytes.t array -> rows:int -> indexed -> Bytes.t
+(** [eval_columns columns ~rows t] evaluates [t] on [rows] rows at once:
+    [columns.(i)] is the truth column ({!Truth.code}) of atom [i], and row
+    [r] of the result is the code of [eval_indexed truths t], where
+    [truths.(i)] is row [r] of [columns.(i)]. Kleene conjunction is the
+    minimum of the codes, disjunction the maximum, negation [2 - code]. *)
+
 val map_atoms : (Predicate.t -> Predicate.t) -> t -> t
 
 val pp : Format.formatter -> t -> unit

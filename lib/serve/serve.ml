@@ -456,11 +456,11 @@ type query_memo = {
   q_analysis : Analysis.t;  (* the first arrival's; later ones are equal *)
   q_isig : string;
   q_ca : ca_memo Lazy.t;
-  q_dbs : (string, Local_result.t * (string * int) list) Hashtbl.t;
-      (* per database, its [Strategy.local_evaluation], shared by every
-         localized strategy. PL and PLS each probe for themselves: a kept
-         probe would hold every root object's blocked items until the run
-         ends. *)
+  q_dbs : (string, Local_eval.scan) Hashtbl.t;
+      (* per database, its scan and the local result it keeps, shared by
+         every localized strategy. PL and PLS each take their probe from
+         the kept scan: a kept probe would hold every root object's
+         blocked items until the run ends. *)
   q_strategies : (Strategy.t, plan_memo) Hashtbl.t;
   q_predicted : (Strategy.t, Time.t * Time.t) Hashtbl.t;
   q_auto : Planner.prediction list Lazy.t;
@@ -555,7 +555,7 @@ let plan_memo it (cfg : config) fed tracer m st =
     Strategy.plan_localized
       ~local:(fun db ->
         memo_find m.q_dbs db (fun () ->
-            Strategy.local_evaluation ~tracer fed analysis ~db))
+            Local_eval.scan ~tracer fed analysis ~db))
       ?signatures ~tracer opts.Strategy.cost
       ~parallel:(st = Strategy.Pl || st = Strategy.Pls)
       ~checks:(st <> Strategy.Lo) fed analysis

@@ -6,7 +6,7 @@
    [Answer] are common. [run ~results ~verdicts] must return what
    [Certify.run] returns: the same answer rows, counters and meter totals
    ([render]). [inputs] builds a localized strategy's certification inputs
-   for the tests and test/certify_timing.ml. *)
+   for the tests and test/layer_timing.ml. *)
 
 open Msdq_odb
 open Msdq_fed

@@ -75,6 +75,45 @@ let test_pp_equal () =
   Alcotest.(check bool) "equal" true (Cond.equal t t);
   Alcotest.(check bool) "not equal" false (Cond.equal t (Cond.Atom a))
 
+(* [eval_columns] must give, row by row, what [eval_indexed] gives on that
+   row's truths: random trees over four atoms, one of which the atom array
+   lacks (so it reads as Unknown), over random truth columns. *)
+let gen_tree =
+  let open QCheck.Gen in
+  let atom = map (fun p -> Cond.Atom p) (oneofl [ a; b; c; p "d" "4" ]) in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then atom
+         else
+           frequency
+             [
+               (1, atom);
+               (2, map (fun ts -> Cond.And ts) (list_size (int_bound 3) (self (n - 1))));
+               (2, map (fun ts -> Cond.Or ts) (list_size (int_bound 3) (self (n - 1))));
+               (1, map (fun t -> Cond.Not t) (self (n - 1)));
+             ])
+
+let prop_columns =
+  QCheck.Test.make ~name:"byte-column evaluation = eval_indexed per row" ~count:500
+    (QCheck.make ~print:(fun (t, rows) -> Printf.sprintf "%s over %d rows" (Cond.to_string t) (List.length rows))
+       QCheck.Gen.(
+         pair gen_tree
+           (list_size (int_bound 40)
+              (array_repeat 3 (oneofl Truth.[ True; False; Unknown ])))))
+    (fun (t, rows) ->
+      let atoms = [| a; b; c |] in
+      let indexed = Cond.index atoms t in
+      let n = List.length rows in
+      let columns =
+        Array.init 3 (fun i ->
+            Bytes.of_seq (Seq.map (fun truths -> Truth.code truths.(i)) (List.to_seq rows)))
+      in
+      let got = Cond.eval_columns columns ~rows:n indexed in
+      List.for_all2
+        (fun r truths ->
+          Truth.equal (Truth.of_code (Bytes.get got r)) (Cond.eval_indexed truths indexed))
+        (List.init n Fun.id) rows)
+
 let suite =
   [
     Alcotest.test_case "conjunction flattening" `Quick test_conj_flattening;
@@ -83,4 +122,5 @@ let suite =
     Alcotest.test_case "three-valued eval" `Quick test_eval;
     Alcotest.test_case "map_atoms" `Quick test_map_atoms;
     Alcotest.test_case "pp and equality" `Quick test_pp_equal;
+    QCheck_alcotest.to_alcotest prop_columns;
   ]

@@ -129,6 +129,94 @@ let test_unknown_db_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* ---- Equivalence with the per-object reference ---- *)
+
+(* [Local_eval] derives its result, touched counts and probe from one
+   column scan per (query, database); test/local_eval_ref.ml walks every
+   path by name from every root object, as the code before the scan did.
+   Both must give the same rows (the physically same objects), counters,
+   meter totals, touched counts and probe items on random synthetic
+   federations of 2-4 databases and root, nested, disjunctive and negated
+   queries, with and without divergent (multi-valued) copies. *)
+
+module Synth = Msdq_workload.Synth
+
+type case = { config : Synth.config; query_seed : int; disjunctive : bool }
+
+let gen_case =
+  QCheck.Gen.(
+    map
+      (fun ((seed, n_db, n_entities, (copy, host, (null, present), divergent)),
+            (query_seed, disjunctive)) ->
+        {
+          config =
+            {
+              Synth.default with
+              Synth.seed;
+              n_db;
+              n_entities;
+              p_copy = copy;
+              p_host = host;
+              p_null = null;
+              p_attr_present = present;
+              p_divergent = divergent;
+            };
+          query_seed;
+          disjunctive;
+        })
+      (pair
+         (quad (int_bound 100_000) (int_range 2 4) (int_range 1 60)
+            (quad (float_range 0.1 0.9) (oneofl [ 0.7; 1.0 ])
+               (pair (float_range 0.0 0.3) (float_range 0.3 0.8))
+               (oneofl [ 0.0; 0.3; 0.5 ])))
+         (pair (int_bound 10_000) bool)))
+
+let print_case c =
+  Printf.sprintf
+    "seed %d dbs %d entities %d copy %g host %g null %g present %g divergent %g; query %d%s"
+    c.config.Synth.seed c.config.Synth.n_db c.config.Synth.n_entities c.config.Synth.p_copy
+    c.config.Synth.p_host c.config.Synth.p_null c.config.Synth.p_attr_present
+    c.config.Synth.p_divergent c.query_seed
+    (if c.disjunctive then " disjunctive" else "")
+
+let same_as_reference c =
+  match Synth.case ~disjunctive:c.disjunctive c.config c.query_seed with
+  | None -> true
+  | Some (fed, analysis) ->
+    List.iter
+      (fun (db, _) ->
+        match Local_eval.scan fed analysis ~db with
+        | exception Invalid_argument _ -> (
+          match Local_eval_ref.run fed analysis ~db with
+          | exception Invalid_argument _ -> ()
+          | _ -> QCheck.Test.fail_reportf "%s: the scan refuses a hosting database" db)
+        | scan ->
+          (* The probe alone, and after the result it borrows from. *)
+          let alone = Local_eval.probe (Local_eval.scan fed analysis ~db) in
+          let result = Local_eval.result scan in
+          let probe = Local_eval.probe scan in
+          let ref_result = Local_eval_ref.run fed analysis ~db
+          and ref_probe = Local_eval_ref.probe fed analysis ~db in
+          let want =
+            Local_eval_ref.render ref_result (Local_eval_ref.touched fed analysis ~db) ref_probe
+          in
+          List.iter
+            (fun probe ->
+              let got = Local_eval_ref.render result (Local_eval.touched scan) probe in
+              if not (String.equal got want) then
+                QCheck.Test.fail_reportf "%s\nscan:\n%s\nreference:\n%s"
+                  (Ast.to_string analysis.Analysis.query) got want;
+              if not (Local_eval_ref.same_objects result ref_result probe ref_probe) then
+                QCheck.Test.fail_reportf "%s: rows or items hold other objects" db)
+            [ alone; probe ])
+      (Federation.databases fed);
+    true
+
+let prop_same_as_reference =
+  QCheck.Test.make ~name:"Local_eval = per-object reference" ~count:300
+    (QCheck.make ~print:print_case gen_case)
+    same_as_reference
+
 let suite =
   [
     Alcotest.test_case "R1 rows (fig 7a)" `Quick test_db1_rows;
@@ -137,4 +225,5 @@ let suite =
     Alcotest.test_case "R2 rows (fig 7b)" `Quick test_db2_rows;
     Alcotest.test_case "work counters" `Quick test_counters;
     Alcotest.test_case "non-hosting db rejected" `Quick test_unknown_db_rejected;
+    QCheck_alcotest.to_alcotest prop_same_as_reference;
   ]

@@ -1,11 +1,11 @@
 (* The resolved walks must answer exactly as the by-name walks they replace
-   on the data paths: Slot_path against Predicate.fetch/eval, the
-   global-slot walk against Global_eval.fetch, and the dense Database and
-   Goid_table lookups against a plain association-list model. Random
-   synthetic federations supply missing attributes, nulls, isomeric copies
-   and multi-valued integration; random paths add unknown attributes,
-   paths continuing through a primitive attribute and roots of the wrong
-   class. *)
+   on the data paths: the column walk (Scan) against Predicate.fetch/eval
+   and the by-name reference walk, the global-slot walk against
+   Global_eval.fetch, and the dense Database and Goid_table lookups against
+   a plain association-list model. Random synthetic federations supply
+   missing attributes, nulls, isomeric copies and multi-valued
+   integration; random paths add unknown attributes, paths continuing
+   through a primitive attribute and roots of every class. *)
 
 open Msdq_odb
 open Msdq_fed
@@ -65,13 +65,8 @@ let local_fetched = function
       | Predicate.Null_value -> "null")
   | Error e -> "raises " ^ e
 
-let local_outcome = function
-  | Ok Predicate.Sat -> "sat"
-  | Ok Predicate.Viol -> "viol"
-  | Ok (Predicate.Blocked b) -> local_fetched (Ok (Predicate.Missing b))
-  | Error e -> "raises " ^ e
-
-(* Touch's by-name walk: every object reached through a reference. *)
+(* The by-name reference walk: every object reached through a
+   reference. *)
 let refs_by_name db obj path =
   let rec walk obj acc = function
     | [] -> List.rev acc
@@ -85,47 +80,146 @@ let refs_by_name db obj path =
   in
   walk obj [] path
 
+(* The column walk's answer for path [i] from root row [r], as the by-name
+   walk gives it. *)
+let scan_fetch walk i r =
+  let step = Scan.step walk i r in
+  if step = Scan.length walk i then Predicate.Found (Scan.value walk i r)
+  else
+    Predicate.Missing
+      {
+        Predicate.obj = Scan.item walk i ~step r;
+        rest = Scan.rest walk i ~step;
+        cause = Scan.cause walk i ~step;
+      }
+
+(* One path by name over every root object, in order: each object's
+   fetched text, truth and referenced objects, the meters of the fetches
+   and of the evaluations; a walk that raises stops at its first
+   exception, as the column walk must. *)
+type by_name = {
+  fetched : (string list, string) result;
+  truths : (Truth.t list, string) result;
+  fetch_work : Meter.snapshot;
+  eval_work : Meter.snapshot;
+  refs : Dbobject.t list;
+}
+
+let by_name db objs path op operand =
+  let fm = Meter.create () and em = Meter.create () in
+  let pred = { Predicate.path; op; operand } in
+  let fetched =
+    attempt (fun () ->
+        List.map (fun obj -> local_fetched (Ok (Predicate.fetch ~meter:fm db obj path))) objs)
+  in
+  let truths =
+    attempt (fun () ->
+        List.map
+          (fun obj -> Predicate.truth_of_outcome (Predicate.eval ~meter:em db obj pred))
+          objs)
+  in
+  {
+    fetched;
+    truths;
+    fetch_work = Meter.read fm;
+    eval_work = Meter.read em;
+    refs = List.concat_map (fun obj -> refs_by_name db obj path) objs;
+  }
+
+(* Path [i] of [walk] against [want]; [walk] held no exception. *)
+let check_path ~what walk i want op operand =
+  (match want.fetched with
+  | Error e -> fail "%s: by name raises %s, the column walk does not" what e
+  | Ok texts ->
+    List.iteri
+      (fun r text ->
+        let got = local_fetched (Ok (scan_fetch walk i r)) in
+        if got <> text then fail "%s row %d: by name %s, column walk %s" what r text got)
+      texts);
+  (* a walk that stopped at step k read k + 1 attributes *)
+  let walked = ref 0 in
+  for r = 0 to Extent.size (Scan.root walk) - 1 do
+    walked := !walked + min (Scan.step walk i r + 1) (Scan.length walk i)
+  done;
+  if want.fetch_work.Meter.accesses <> !walked then
+    fail "%s: fetch accesses %d by name, %d by column" what want.fetch_work.Meter.accesses
+      !walked;
+  let meter = Meter.create () in
+  let got = attempt (fun () -> Scan.truths ~meter walk i ~op ~operand) in
+  (match (want.truths, got) with
+  | Ok truths, Ok codes ->
+    List.iteri
+      (fun r t ->
+        if not (Truth.equal t (Truth.of_code (Bytes.get codes r))) then
+          fail "%s row %d: by name %s, column %s" what r (Truth.to_string t)
+            (Truth.to_string (Truth.of_code (Bytes.get codes r))))
+      truths;
+    if Meter.read meter <> want.eval_work then fail "%s: eval meters differ" what
+  | Error e, Error e' when e = e' -> ()
+  | Error e, _ -> fail "%s: by name eval raises %s, column walk does not" what e
+  | Ok _, Error e -> fail "%s: column walk eval raises %s" what e)
+
+(* Distinct objects per extent among [refs], against the walk's marks. *)
+let check_touched ~what db walk refs =
+  List.iter
+    (fun cls ->
+      let ext = Database.extent_handle db cls in
+      let want =
+        List.length
+          (List.sort_uniq Oid.Loid.compare
+             (List.filter_map
+                (fun o -> if String.equal (Dbobject.cls o) cls then Some (Dbobject.loid o) else None)
+                refs))
+      in
+      if Scan.touched walk ext <> want then
+        fail "%s: %d %s objects touched by name, %d by column" what want cls
+          (Scan.touched walk ext))
+    (Schema.class_names (Database.schema db))
+
 let same_local (cfg, paths, op, operand) =
   let fed = Synth.generate cfg in
+  let nonempty = List.filter (fun p -> p <> []) paths in
   List.iter
     (fun (_, db) ->
-      let schema = Database.schema db in
-      let all = List.concat_map (Database.extent db) (Schema.class_names schema) in
       List.iter
-        (fun root ->
-          List.iter
-            (fun path ->
-              let walk = Slot_path.resolve db path in
-              (* every object of the database, so roots of other classes
-                 exercise the re-resolution *)
-              List.iter
-                (fun obj ->
-                  let by_name = Meter.create () and resolved = Meter.create () in
-                  let want =
-                    local_fetched (attempt (fun () -> Predicate.fetch ~meter:by_name db obj path))
-                  in
-                  let got = local_fetched (attempt (fun () -> Slot_path.fetch ~meter:resolved walk obj)) in
-                  let pred = { Predicate.path; op; operand } in
-                  let want_eval =
-                    local_outcome (attempt (fun () -> Predicate.eval ~meter:by_name db obj pred))
-                  in
-                  let got_eval =
-                    local_outcome
-                      (attempt (fun () -> Slot_path.eval ~meter:resolved walk ~op ~operand obj))
-                  in
-                  let refs = List.map Dbobject.loid (refs_by_name db obj path) in
-                  let seen = ref [] in
-                  Slot_path.iter_refs walk obj (fun o -> seen := Dbobject.loid o :: !seen);
-                  if want <> got || want_eval <> got_eval then
-                    fail "%s from %s (root %s): by name %s / %s, resolved %s / %s"
-                      (Path.to_string path) (Dbobject.cls obj) root want want_eval got got_eval;
-                  if Meter.read by_name <> Meter.read resolved then
-                    fail "%s from %s: meters differ" (Path.to_string path) (Dbobject.cls obj);
-                  if not (List.equal Oid.Loid.equal refs (List.rev !seen)) then
-                    fail "%s from %s: references differ" (Path.to_string path) (Dbobject.cls obj))
-                all)
-            paths)
-        (Schema.class_names schema))
+        (fun cls ->
+          let root = Database.extent_handle db cls in
+          let objs = Extent.to_list root in
+          if List.mem [] paths then begin
+            match Scan.run db root [| [] |] with
+            | exception Invalid_argument _ -> ()
+            | _ -> fail "empty path accepted from %s" cls
+          end;
+          (* Each path on its own: the walk raises exactly when the by-name
+             walk raises on some root object, with its first message. *)
+          let singles =
+            List.map
+              (fun path ->
+                let what = Printf.sprintf "%s from %s" (Path.to_string path) cls in
+                let want = by_name db objs path op operand in
+                (match (want.fetched, attempt (fun () -> Scan.run db root [| path |])) with
+                | Error e, Error e' when e = e' -> ()
+                | Error e, Error e' -> fail "%s: by name raises %s, column walk %s" what e e'
+                | Error e, Ok _ -> fail "%s: by name raises %s, column walk does not" what e
+                | Ok _, Error e -> fail "%s: column walk raises %s" what e
+                | Ok _, Ok walk ->
+                  check_path ~what walk 0 want op operand;
+                  check_touched ~what db walk want.refs);
+                want)
+              nonempty
+          in
+          (* All paths in one walk, sharing their prefixes. *)
+          if nonempty <> [] then begin
+            let what = Printf.sprintf "%s from %s" (String.concat " | " (List.map Path.to_string nonempty)) cls in
+            let errors = List.filter_map (fun w -> Result.fold ~ok:(fun _ -> None) ~error:Option.some w.fetched) singles in
+            match attempt (fun () -> Scan.run db root (Array.of_list nonempty)) with
+            | Error e -> if not (List.mem e errors) then fail "%s: column walk raises %s" what e
+            | Ok _ when errors <> [] -> fail "%s: by name raises %s, column walk does not" what (List.hd errors)
+            | Ok walk ->
+              List.iteri (fun i want -> check_path ~what walk i want op operand) singles;
+              check_touched ~what db walk (List.concat_map (fun w -> w.refs) singles)
+          end)
+        (Schema.class_names (Database.schema db)))
     (Federation.databases fed);
   true
 

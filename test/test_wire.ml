@@ -58,7 +58,7 @@ let test_extent_bytes () =
    advisors' departments are CS -> only one department touched. *)
 let test_touch_and_localized_bytes () =
   let _, fed, gs, analysis, involved = setup () in
-  let touched = Touch.count fed analysis ~db:"DB1" in
+  let touched = Local_eval.touched (Local_eval.scan fed analysis ~db:"DB1") in
   (* DB1 has no Address constituent, so Address does not appear. *)
   Alcotest.(check (list (pair string int))) "touched counts"
     [ ("Student", 3); ("Teacher", 3); ("Department", 1) ]
